@@ -1,7 +1,7 @@
 GO ?= go
 BENCH_STAMP := $(shell date -u +%Y%m%dT%H%M%SZ)
 
-.PHONY: build test race vet lint bench bench-json bench-diff compare-smoke directed-smoke
+.PHONY: build test race vet fmtcheck lint bench bench-json bench-diff compare-smoke directed-smoke
 
 build:
 	$(GO) build ./...
@@ -15,11 +15,18 @@ race:
 vet:
 	$(GO) vet ./...
 
-# lint chains the static gates: go vet, staticcheck when installed (CI always
-# runs it; local runs without the binary degrade to a notice), and fraglint —
-# the repo's own diagnostics engine — over the built-in corpus apps the
-# examples/ programs drive, failing on error-severity findings.
-lint: vet
+# fmtcheck fails when any Go file in the repository (the benchmark module
+# included, build outputs excluded) is not gofmt-clean, listing the files.
+fmtcheck:
+	@out=$$(gofmt -l $$(find . -name '*.go' -not -path './.bench_build/*')); \
+	if [ -n "$$out" ]; then echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
+
+# lint chains the static gates: go vet, the gofmt check, staticcheck when
+# installed (CI always runs it; local runs without the binary degrade to a
+# notice), and fraglint — the repo's own diagnostics engine — over the
+# built-in corpus apps the examples/ programs drive, failing on
+# error-severity findings.
+lint: vet fmtcheck
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

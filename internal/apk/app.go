@@ -46,11 +46,20 @@ type App struct {
 	// process-global map keyed by app pointer would pin every app ever
 	// loaded, a real leak for long-lived static-only consumers.
 	irState atomic.Value
+	// fingerprint is an opaque slot owned by internal/session: the app's
+	// content fingerprint (the snapshot-memo key), computed on first use. It
+	// lives on the App for the same reason as irState: a process-global
+	// cache keyed by app pointer would pin every app the memo ever saw.
+	fingerprint atomic.Value
 }
 
 // IRState exposes the compiled-program slot to internal/ir. Other packages
 // must not touch it.
 func (a *App) IRState() *atomic.Value { return &a.irState }
+
+// FingerprintSlot exposes the cached-fingerprint slot to internal/session.
+// Other packages must not touch it.
+func (a *App) FingerprintSlot() *atomic.Value { return &a.fingerprint }
 
 // Load decodes an archive into an App. Packed archives yield ErrPacked.
 func Load(a *Archive) (*App, error) {

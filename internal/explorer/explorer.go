@@ -121,7 +121,8 @@ type Result struct {
 	// Collector holds the sensitive-API observations of the whole run.
 	Collector *sensitive.Collector
 	// InitialPlan is the UI transition queue generated from the static AFTM
-	// before any test case ran (§VI-B queue generation).
+	// before any test case ran (§VI-B queue generation). Every run over one
+	// extraction shares it, so it is read-only.
 	InitialPlan []PlannedItem
 	// Curve records cumulative coverage after each executed test case — the
 	// data behind a coverage-vs-budget figure. Points are appended only when
@@ -359,9 +360,10 @@ func (e *engine) Init(ctx *session.DriveContext) error {
 	for _, w := range e.ex.InputWidgets {
 		e.hints[w.Ref] = w.Hint
 	}
-	e.plan = PlanQueue(e.ex.Model)
-	for _, item := range e.plan {
-		e.s.Notef("queue item %s", item)
+	ip := initialPlanOf(e.ex)
+	e.plan = ip.items
+	for _, line := range ip.lines {
+		e.s.Trace(session.Event{Kind: session.KindNote, Msg: line})
 	}
 	entry, err := e.app.Manifest.EntryActivity()
 	if err != nil {

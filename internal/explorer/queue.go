@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"fragdroid/internal/aftm"
+	"fragdroid/internal/statics"
 )
 
 // PlannedItem is one UI-transition-queue item as §VI-B defines it: "the way
@@ -68,6 +69,30 @@ func PlanQueue(m *aftm.Model) []PlannedItem {
 		items = append(items, item)
 	}
 	return items
+}
+
+// initialPlan is the §VI-B initial queue of one extraction with its
+// transcript lines pre-rendered. Both are a function of the static AFTM
+// alone, so every run over the extraction shares one copy (read-only).
+type initialPlan struct {
+	items []PlannedItem
+	lines []string
+}
+
+// initialPlanKey is the extraction-memo key of the initial plan.
+type initialPlanKey struct{}
+
+// initialPlanOf returns the extraction's initial queue, generating it on
+// first use.
+func initialPlanOf(ex *statics.Extraction) *initialPlan {
+	return ex.Derived(initialPlanKey{}, func() any {
+		ip := &initialPlan{items: PlanQueue(ex.Model)}
+		ip.lines = make([]string, len(ip.items))
+		for i, item := range ip.items {
+			ip.lines[i] = "queue item " + item.String()
+		}
+		return ip
+	}).(*initialPlan)
 }
 
 // plannedMethod maps an edge's Via label to the reach method the test-case

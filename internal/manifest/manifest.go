@@ -17,9 +17,9 @@ import (
 
 // Well-known intent actions and categories.
 const (
-	ActionMain       = "android.intent.action.MAIN"
-	ActionView       = "android.intent.action.VIEW"
-	CategoryLauncher = "android.intent.category.LAUNCHER"
+	ActionMain        = "android.intent.action.MAIN"
+	ActionView        = "android.intent.action.VIEW"
+	CategoryLauncher  = "android.intent.category.LAUNCHER"
 	CategoryBrowsable = "android.intent.category.BROWSABLE"
 	CategoryDefault   = "android.intent.category.DEFAULT"
 )

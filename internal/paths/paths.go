@@ -20,9 +20,6 @@
 package paths
 
 import (
-	"container/heap"
-	"sort"
-
 	"fragdroid/internal/callgraph"
 	"fragdroid/internal/inputgen"
 	"fragdroid/internal/statics"
@@ -88,7 +85,10 @@ func (p Path) End() callgraph.Node {
 	return p.Edges[len(p.Edges)-1].To
 }
 
-// Planner enumerates and lowers paths over one app's extraction.
+// Planner enumerates and lowers paths over one app's extraction. Planners
+// over one extraction share its search index and, for equal search bounds
+// and root policy, its enumerations per target; lowering stays per planner
+// because the input fills depend on the planner's Inputs and InputGen.
 type Planner struct {
 	ex  *statics.Extraction
 	cfg Config
@@ -141,114 +141,37 @@ func edgeCost(e callgraph.Edge) int {
 	}
 }
 
-// searchState is one frontier entry of the best-first enumeration.
-type searchState struct {
-	node   callgraph.Node
-	root   callgraph.Node
-	forced bool
-	edges  []callgraph.Edge
-	cost   int
-	seq    int // insertion order, the deterministic tie-break
-}
-
-type frontier []*searchState
-
-func (f frontier) Len() int { return len(f) }
-func (f frontier) Less(i, j int) bool {
-	if f[i].cost != f[j].cost {
-		return f[i].cost < f[j].cost
-	}
-	if len(f[i].edges) != len(f[j].edges) {
-		return len(f[i].edges) < len(f[j].edges)
-	}
-	return f[i].seq < f[j].seq
-}
-func (f frontier) Swap(i, j int) { f[i], f[j] = f[j], f[i] }
-func (f *frontier) Push(x any)   { *f = append(*f, x.(*searchState)) }
-func (f *frontier) Pop() any     { old := *f; n := len(old); s := old[n-1]; *f = old[:n-1]; return s }
-func (s *searchState) onPath(n callgraph.Node) bool {
-	if s.root == n {
-		return true
-	}
-	for _, e := range s.edges {
-		if e.To == n {
-			return true
-		}
-	}
-	return false
-}
-
-// roots returns the search's start states under the configured root policy,
-// in deterministic order: the launcher first, then the effective activities
-// as forced starts.
-func (p *Planner) roots() []*searchState {
-	g := p.ex.Graph()
-	var out []*searchState
-	launcher := g.Launcher()
-	if launcher != "" {
-		out = append(out, &searchState{node: callgraph.ActivityNode(launcher), root: callgraph.ActivityNode(launcher)})
-	}
-	if p.cfg.LauncherOnly {
-		return out
-	}
-	acts := append([]string(nil), p.ex.EffectiveActivities...)
-	sort.Strings(acts)
-	for _, a := range acts {
-		if a == launcher {
-			continue
-		}
-		n := callgraph.ActivityNode(a)
-		out = append(out, &searchState{node: n, root: n, forced: true, cost: 1})
-	}
-	return out
-}
-
 // Enumerate runs the bounded k-shortest-path search to any node the target
 // predicate accepts. Paths come back cheapest-first (cost, then length, then
 // discovery order); paths through a target node are not extended further.
+// The predicate is evaluated once per callgraph node, so it must be pure.
 func (p *Planner) Enumerate(isTarget func(callgraph.Node) bool) []Path {
-	g := p.ex.Graph()
-	f := frontier{}
-	seq := 0
-	for _, r := range p.roots() {
-		r.seq = seq
-		seq++
-		heap.Push(&f, r)
+	ix := indexOf(p.ex)
+	mask := make([]bool, len(ix.nodes))
+	for i, n := range ix.nodes {
+		mask[i] = isTarget(n)
 	}
-	var out []Path
-	expansions := 0
-	for f.Len() > 0 {
-		st := heap.Pop(&f).(*searchState)
-		if isTarget(st.node) {
-			out = append(out, Path{Root: st.root, Forced: st.forced, Edges: st.edges, Cost: st.cost})
-			if len(out) >= p.cfg.MaxPaths {
-				break
-			}
-			continue
-		}
-		if len(st.edges) >= p.cfg.MaxDepth {
-			continue
-		}
-		expansions++
-		if expansions > p.cfg.MaxExpand {
-			break
-		}
-		for _, e := range g.EdgesFrom(st.node) {
-			if st.onPath(e.To) {
-				continue
-			}
-			edges := make([]callgraph.Edge, len(st.edges), len(st.edges)+1)
-			copy(edges, st.edges)
-			heap.Push(&f, &searchState{
-				node:   e.To,
-				root:   st.root,
-				forced: st.forced,
-				edges:  append(edges, e),
-				cost:   st.cost + edgeCost(e),
-				seq:    seq,
-			})
-			seq++
-		}
+	return ix.paths(ix.enumerate(p.cfg, mask))
+}
+
+// enumerateMemo is Enumerate over an explicit target node set, memoised on
+// the extraction under the search bounds, the root policy and the target:
+// every planner over one extraction with the same bounds shares one
+// enumeration per target, and each call materialises its own paths from it.
+func (p *Planner) enumerateMemo(ix *index, t Target, targets []int32) []Path {
+	k := enumKey{
+		maxPaths: p.cfg.MaxPaths, maxDepth: p.cfg.MaxDepth, maxExpand: p.cfg.MaxExpand,
+		launcherOnly: p.cfg.LauncherOnly, target: t,
 	}
-	return out
+	fs := p.ex.Derived(k, func() any {
+		if len(targets) == 0 {
+			return []found(nil)
+		}
+		mask := make([]bool, len(ix.nodes))
+		for _, n := range targets {
+			mask[n] = true
+		}
+		return ix.enumerate(p.cfg, mask)
+	}).([]found)
+	return ix.paths(fs)
 }

@@ -39,8 +39,13 @@ func (sp *SitePlan) Blocking() (Unliftable, bool) {
 
 // PlanTarget enumerates and lowers paths to an explicit node set.
 func (p *Planner) PlanTarget(t Target, isTarget func(callgraph.Node) bool) SitePlan {
+	return p.lowerAll(t, p.Enumerate(isTarget))
+}
+
+// lowerAll lowers enumerated paths into a plan: the routes that lift and the
+// blocked paths, or one CauseSearchBound record when nothing was found.
+func (p *Planner) lowerAll(t Target, found []Path) SitePlan {
 	sp := SitePlan{Target: t}
-	found := p.Enumerate(isTarget)
 	if len(found) == 0 {
 		sp.Blocked = append(sp.Blocked, Unliftable{Target: t, Cause: CauseSearchBound})
 		return sp
@@ -56,28 +61,16 @@ func (p *Planner) PlanTarget(t Target, isTarget func(callgraph.Node) bool) SiteP
 	return sp
 }
 
-// apiTargets returns the predicate accepting the method nodes that invoke
-// api in the context of owner (outer component class), plus whether any such
-// site exists.
-func (p *Planner) apiTargets(api, owner string) (func(callgraph.Node) bool, bool) {
-	nodes := make(map[callgraph.Node]bool)
-	for _, s := range p.ex.Graph().Sites() {
-		if s.API == api && callgraph.OuterComponent(s.Node.Class) == owner {
-			nodes[s.Node] = true
-		}
-	}
-	return func(n callgraph.Node) bool { return nodes[n] }, len(nodes) > 0
-}
-
 // PlanSite plans one (API, owner component) invocation relation — one cell
 // of the static Table II ceiling.
 func (p *Planner) PlanSite(api, owner string) SitePlan {
 	t := Target{API: api, Class: owner}
-	isTarget, ok := p.apiTargets(api, owner)
-	if !ok {
+	ix := indexOf(p.ex)
+	nodes := ix.sites[siteKey{api, owner}]
+	if len(nodes) == 0 {
 		return SitePlan{Target: t, Blocked: []Unliftable{{Target: t, Cause: CauseSearchBound}}}
 	}
-	sp := p.PlanTarget(t, isTarget)
+	sp := p.lowerAll(t, p.enumerateMemo(ix, t, nodes))
 	sp.LauncherReachable = p.launcherReaches(api, owner)
 	return sp
 }
@@ -116,7 +109,12 @@ func (p *Planner) PlanComponent(class string) SitePlan {
 	if !ok {
 		return SitePlan{Target: t, Blocked: []Unliftable{{Target: t, Cause: CauseSearchBound}}}
 	}
-	return p.PlanTarget(t, func(n callgraph.Node) bool { return n == node })
+	ix := indexOf(p.ex)
+	var targets []int32
+	if id, ok := ix.id[node]; ok {
+		targets = []int32{id}
+	}
+	return p.lowerAll(t, p.enumerateMemo(ix, t, targets))
 }
 
 // componentNode maps a class to its component node, trying activity,

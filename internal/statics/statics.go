@@ -190,6 +190,29 @@ type Extraction struct {
 	// LauncherReach is launcher-only reachability: what a user reaches by
 	// clicking from the entry Activity, without forced starts.
 	LauncherReach *callgraph.Reach
+
+	// derived caches values downstream packages compute from the extraction
+	// (the path planner's index and enumerations, the explorer's initial
+	// queue). It is untyped to avoid an import cycle, and it lives on the
+	// extraction so the cached values are freed with it: a process-global
+	// map keyed by extraction would pin every extraction ever planned.
+	derived sync.Map // package-private key -> value
+}
+
+// Derived returns the value cached on the extraction under key, calling
+// build to fill it on first use. Keys must be of a type private to the
+// calling package so packages cannot collide. The extraction is immutable
+// once built, so a cached value is valid for its whole lifetime; build must
+// be a deterministic function of the extraction and the key, and callers
+// must treat the returned value as read-only because every later caller
+// shares it. Two concurrent first calls may both run build; one result wins
+// and both callers get it.
+func (ex *Extraction) Derived(key any, build func() any) any {
+	if v, ok := ex.derived.Load(key); ok {
+		return v
+	}
+	v, _ := ex.derived.LoadOrStore(key, build())
+	return v
 }
 
 // Java returns the decompiled source view, decompiling on first use when the
