@@ -16,6 +16,7 @@ import (
 
 	"fragdroid/internal/apk"
 	"fragdroid/internal/artifact"
+	"fragdroid/internal/cli"
 	"fragdroid/internal/corpus"
 	"fragdroid/internal/explorer"
 	"fragdroid/internal/session"
@@ -40,11 +41,7 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	dir, err := artifact.ResolveDir(*cacheDir)
-	if err != nil {
-		return err
-	}
-	cache, err := artifact.NewPersistentCache(dir)
+	cache, err := cli.OpenCache(*cacheDir)
 	if err != nil {
 		return err
 	}

@@ -24,6 +24,7 @@ import (
 
 	"fragdroid/internal/apk"
 	"fragdroid/internal/artifact"
+	"fragdroid/internal/cli"
 	"fragdroid/internal/corpus"
 	"fragdroid/internal/robotium"
 	"fragdroid/internal/session"
@@ -50,11 +51,7 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	dir, err := artifact.ResolveDir(*cacheFlag)
-	if err != nil {
-		return err
-	}
-	cache, err := artifact.NewPersistentCache(dir)
+	cache, err := cli.OpenCache(*cacheFlag)
 	if err != nil {
 		return err
 	}

@@ -22,13 +22,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
-	"strconv"
 	"strings"
 
 	"fragdroid/internal/apk"
 	"fragdroid/internal/artifact"
+	"fragdroid/internal/cli"
 	"fragdroid/internal/corpus"
 	"fragdroid/internal/device"
 	"fragdroid/internal/explorer"
@@ -68,8 +66,6 @@ func run(args []string) error {
 		runTest      = fs.String("run-test", "", "execute a stored test-case JSON file on the app and exit")
 		target       = fs.String("target", "", "targeted mode: drive the app until this sensitive API fires (e.g. location/getProviders)")
 		directed     = fs.Bool("directed", false, "with -target: seed the search with lifted launcher-to-site routes (skips unreachable targets)")
-		snapshots    = fs.String("snapshots", "on", "device snapshot memoization: on, off, or a memo capacity")
-		devices      = fs.String("devices", "auto", "in-process device fleet size: auto (GOMAXPROCS, capped at 8) or a count")
 		tracePath    = fs.String("trace", "", "write the structured trace events as JSON to this file (\"-\" for stdout)")
 		cacheDir     = fs.String("cache", "auto", "persistent artifact store: auto, off, or a directory")
 		cpuProf      = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -82,15 +78,11 @@ func run(args []string) error {
 	if err := device.SetDefaultInterp(*interp); err != nil {
 		return err
 	}
-	dir, err := artifact.ResolveDir(*cacheDir)
+	cache, err := cli.OpenCache(*cacheDir)
 	if err != nil {
 		return err
 	}
-	cache, err := artifact.NewPersistentCache(dir)
-	if err != nil {
-		return err
-	}
-	stopProf, err := startProfiles(*cpuProf, *memProf)
+	stopProf, err := cli.StartProfiles(*cpuProf, *memProf)
 	if err != nil {
 		return err
 	}
@@ -145,33 +137,13 @@ func run(args []string) error {
 		if err := replayTest(app, *runTest, trace); err != nil {
 			return err
 		}
-		return writeTrace(*tracePath, trace)
-	}
-
-	memo, err := parseSnapshots(*snapshots)
-	if err != nil {
-		return err
-	}
-	fleet, err := parseDevices(*devices)
-	if err != nil {
-		return err
-	}
-	// With both a memo and a persistent store in play, full-route snapshots
-	// survive the process: the next run on the same app resumes warm. The
-	// deferred flush writes the app's snapshot packs on every exit path.
-	if memo != nil {
-		if st := cache.Store(); st != nil {
-			memo.AttachStore(st)
-			defer memo.Flush()
-		}
+		return cli.WriteTrace(*tracePath, trace)
 	}
 
 	cfg := explorer.DefaultConfig()
 	cfg.UseReflection = !*noReflection
 	cfg.UseForcedStart = !*noForced
 	cfg.MaxTestCases = *maxCases
-	cfg.Snapshots = memo
-	cfg.Devices = fleet
 	if trace != nil {
 		cfg.Observer = trace
 	}
@@ -201,7 +173,7 @@ func run(args []string) error {
 			return err
 		}
 		printTargetResult(tr)
-		return writeTrace(*tracePath, trace)
+		return cli.WriteTrace(*tracePath, trace)
 	}
 
 	ex, err := extract()
@@ -210,12 +182,10 @@ func run(args []string) error {
 	}
 	if *stratSel != "explorer" {
 		opts := strategy.Options{
-			Budget:    *maxCases,
-			Seed:      *seed,
-			Inputs:    cfg.Inputs,
-			Snapshots: memo,
-			Devices:   fleet,
-			Curve:     true,
+			Budget: *maxCases,
+			Seed:   *seed,
+			Inputs: cfg.Inputs,
+			Curve:  true,
 		}
 		if trace != nil {
 			opts.Observer = trace
@@ -231,7 +201,7 @@ func run(args []string) error {
 				fmt.Printf("%d,%d,%d\n", p.TestCase, p.Activities, p.Fragments)
 			}
 		}
-		return writeTrace(*tracePath, trace)
+		return cli.WriteTrace(*tracePath, trace)
 	}
 	res, err := explorer.ExploreExtracted(ex, cfg)
 	if err != nil {
@@ -253,66 +223,7 @@ func run(args []string) error {
 			fmt.Printf("%d,%d,%d\n", p.TestCase, p.Activities, p.Fragments)
 		}
 	}
-	return writeTrace(*tracePath, trace)
-}
-
-// parseSnapshots maps the -snapshots flag to a memo: "on" uses the default
-// capacity, "off" disables memoization (every test case re-executes its route
-// from scratch, the paper's literal discipline), and a positive integer
-// bounds the memo at that many snapshots.
-func parseSnapshots(v string) (*session.SnapshotMemo, error) {
-	switch v {
-	case "on":
-		return session.NewSnapshotMemo(0), nil
-	case "off":
-		return nil, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n <= 0 {
-		return nil, fmt.Errorf("-snapshots takes on, off, or a positive capacity, got %q", v)
-	}
-	return session.NewSnapshotMemo(n), nil
-}
-
-// parseDevices maps the -devices flag to a fleet size: "auto" picks
-// GOMAXPROCS capped at 8 (the FRAGDROID_DEVICES environment variable, when
-// set, overrides "auto"), and a positive integer is used verbatim. One device
-// means no fleet — the exploration runs fully sequentially.
-func parseDevices(v string) (int, error) {
-	if v == "auto" {
-		if env := os.Getenv("FRAGDROID_DEVICES"); env != "" {
-			v = env
-		}
-	}
-	if v == "auto" {
-		n := runtime.GOMAXPROCS(0)
-		if n > 8 {
-			n = 8
-		}
-		return n, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 1 {
-		return 0, fmt.Errorf("-devices takes auto or a positive device count, got %q", v)
-	}
-	return n, nil
-}
-
-// writeTrace dumps the collected structured events as a JSON array; "-"
-// writes to stdout. A nil buffer (no -trace flag) is a no-op.
-func writeTrace(path string, buf *session.TraceBuffer) error {
-	if buf == nil {
-		return nil
-	}
-	data, err := buf.JSON()
-	if err != nil {
-		return err
-	}
-	if path == "-" {
-		fmt.Println(string(data))
-		return nil
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return cli.WriteTrace(*tracePath, trace)
 }
 
 // replayTest loads a stored test-case JSON file and executes it as one
@@ -407,41 +318,6 @@ func loadApp(cache *artifact.Cache, arg string) (*apk.App, *corpus.AppSpec, erro
 	}
 	app, err := cache.App(spec)
 	return app, spec, err
-}
-
-// startProfiles starts CPU profiling and arranges a heap snapshot, per the
-// -cpuprofile/-memprofile flags; the returned stop function finalizes both.
-func startProfiles(cpuPath, memPath string) (func(), error) {
-	var cpuFile *os.File
-	if cpuPath != "" {
-		f, err := os.Create(cpuPath)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return nil, err
-		}
-		cpuFile = f
-	}
-	return func() {
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			cpuFile.Close()
-		}
-		if memPath != "" {
-			f, err := os.Create(memPath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // flush unreachable allocations out of the snapshot
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "memprofile:", err)
-			}
-		}
-	}, nil
 }
 
 // printOutcome summarizes a registry-strategy run: the engine-independent

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
@@ -144,47 +145,28 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-// TestParseDevices pins the -devices contract: auto resolves to a sane
-// GOMAXPROCS-derived fleet, FRAGDROID_DEVICES overrides auto (but never an
-// explicit count), and garbage or non-positive counts fail loudly.
-func TestParseDevices(t *testing.T) {
-	t.Setenv("FRAGDROID_DEVICES", "")
-	n, err := parseDevices("auto")
-	if err != nil || n < 1 || n > 8 {
-		t.Fatalf("parseDevices(auto) = %d, %v; want 1..8", n, err)
+// TestRunWritesNoSnapshots pins that an exploration replays its routes from
+// launch: a run on a fresh store fills builds and extractions but leaves the
+// snapshot/ keyspace empty.
+func TestRunWritesNoSnapshots(t *testing.T) {
+	dir := t.TempDir()
+	if err := run([]string{"-app", "demo", "-cache", dir}); err != nil {
+		t.Fatalf("run demo: %v", err)
 	}
-	if n, err := parseDevices("4"); err != nil || n != 4 {
-		t.Fatalf("parseDevices(4) = %d, %v", n, err)
+	count := func(kind string) int {
+		n := 0
+		filepath.WalkDir(filepath.Join(dir, kind), func(_ string, d fs.DirEntry, err error) error {
+			if err == nil && !d.IsDir() {
+				n++
+			}
+			return err
+		})
+		return n
 	}
-	t.Setenv("FRAGDROID_DEVICES", "6")
-	if n, err := parseDevices("auto"); err != nil || n != 6 {
-		t.Fatalf("env override: parseDevices(auto) = %d, %v; want 6", n, err)
+	if count("extraction") == 0 {
+		t.Fatal("run filled no extraction into the store")
 	}
-	if n, err := parseDevices("2"); err != nil || n != 2 {
-		t.Fatalf("explicit flag beats env: parseDevices(2) = %d, %v", n, err)
-	}
-	t.Setenv("FRAGDROID_DEVICES", "auto")
-	if n, err := parseDevices("auto"); err != nil || n < 1 || n > 8 {
-		t.Fatalf("env auto: parseDevices(auto) = %d, %v; want 1..8", n, err)
-	}
-	for _, bad := range []string{"0", "-2", "many", ""} {
-		t.Setenv("FRAGDROID_DEVICES", "")
-		if _, err := parseDevices(bad); err == nil {
-			t.Errorf("parseDevices(%q): want error", bad)
-		}
-	}
-}
-
-// TestRunDevicesFlag runs the pipeline end to end under an explicit fleet
-// size and rejects invalid values at the flag boundary.
-func TestRunDevicesFlag(t *testing.T) {
-	if err := run([]string{"-app", "demo", "-devices", "2"}); err != nil {
-		t.Fatalf("run -devices 2: %v", err)
-	}
-	if err := run([]string{"-app", "demo", "-devices", "0"}); err == nil {
-		t.Error("-devices 0: want error")
-	}
-	if err := run([]string{"-app", "demo", "-devices", "junk"}); err == nil {
-		t.Error("-devices junk: want error")
+	if n := count("snapshot"); n > 0 {
+		t.Errorf("run wrote %d snapshot entries", n)
 	}
 }

@@ -25,6 +25,7 @@ import (
 
 	"fragdroid/internal/apk"
 	"fragdroid/internal/artifact"
+	"fragdroid/internal/cli"
 	"fragdroid/internal/corpus"
 	"fragdroid/internal/lint"
 	"fragdroid/internal/report"
@@ -51,12 +52,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 3
 	}
-	dir, err := artifact.ResolveDir(*cacheDir)
-	if err != nil {
-		fmt.Fprintln(stderr, "fraglint:", err)
-		return 3
-	}
-	cache, err := artifact.NewPersistentCache(dir)
+	cache, err := cli.OpenCache(*cacheDir)
 	if err != nil {
 		fmt.Fprintln(stderr, "fraglint:", err)
 		return 3

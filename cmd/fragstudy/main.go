@@ -52,11 +52,9 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"runtime/pprof"
-	"strconv"
 	"strings"
 
-	"fragdroid/internal/artifact"
+	"fragdroid/internal/cli"
 	"fragdroid/internal/corpus"
 	"fragdroid/internal/device"
 	"fragdroid/internal/report"
@@ -95,8 +93,6 @@ func run(args []string) error {
 		dirJSON    = fs.String("directedjson", "", "with -directed: also write the bench summary as JSON to this file")
 		lintRun    = fs.Bool("lint", false, "run fraglint across the dataset and print the summary")
 		metrics    = fs.Bool("metrics", false, "with -table1/-table2: also print the per-app run-metrics table")
-		snaps      = fs.String("snapshots", "on", "device snapshot memoization for evaluation runs: on, off, or a memo capacity")
-		devices    = fs.String("devices", "auto", "in-process device fleet size per app: auto (GOMAXPROCS, capped at 8) or a count")
 		trace      = fs.String("trace", "", "write the structured trace events of evaluation runs as JSON to this file (\"-\" for stdout)")
 		cacheDir   = fs.String("cache", "auto", "persistent artifact store: auto, off, or a directory")
 		cpuProf    = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -115,7 +111,7 @@ func run(args []string) error {
 	if err := device.SetDefaultInterp(*interp); err != nil {
 		return err
 	}
-	cache, err := openCache(*cacheDir)
+	cache, err := cli.OpenCache(*cacheDir)
 	if err != nil {
 		return err
 	}
@@ -135,31 +131,17 @@ func run(args []string) error {
 	default:
 		return fmt.Errorf("unknown corpus %q (want study or family)", *corpusSel)
 	}
-	stopProf, err := startProfiles(*cpuProf, *memProf)
+	stopProf, err := cli.StartProfiles(*cpuProf, *memProf)
 	if err != nil {
 		return err
 	}
 	defer stopProf()
-
-	memo, err := parseSnapshots(*snaps)
-	if err != nil {
-		return err
-	}
-	fleet, err := parseDevices(*devices)
-	if err != nil {
-		return err
-	}
 
 	cfg := report.DefaultEvalConfig()
 	cfg.Strategy = *stratSel
 	cfg.Seed = *seed
 	cfg.Parallel = *parallel
 	cfg.Cache = cache
-	cfg.Snapshots = memo
-	cfg.Devices = fleet
-	// Evaluation runs persist full-route snapshots whenever the cache is
-	// backed by a store, so a repeated table run starts warm across processes.
-	cfg.PersistSnapshots = true
 	var buf *session.TraceBuffer
 	if *trace != "" {
 		// One thread-safe buffer sinks the whole (possibly parallel) corpus
@@ -199,7 +181,7 @@ func run(args []string) error {
 		if *metrics {
 			fmt.Println(report.RenderRunMetrics(ev))
 		}
-		return writeTrace(*trace, buf)
+		return cli.WriteTrace(*trace, buf)
 	}
 	if *directed {
 		if cfg.Strategy != "explorer" {
@@ -225,7 +207,7 @@ func run(args []string) error {
 				return err
 			}
 		}
-		return writeTrace(*trace, buf)
+		return cli.WriteTrace(*trace, buf)
 	}
 	if *baselns {
 		cmp, err := report.RunComparison(cfg, 7, 1500)
@@ -233,7 +215,7 @@ func run(args []string) error {
 			return err
 		}
 		fmt.Println(report.RenderComparison(cmp))
-		return writeTrace(*trace, buf)
+		return cli.WriteTrace(*trace, buf)
 	}
 	if *compare != "" {
 		list := *compare
@@ -318,111 +300,6 @@ func writeStreamBench(path string, st *report.StreamStats) error {
 	data, err := json.MarshalIndent(record, "", "  ")
 	if err != nil {
 		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// parseSnapshots maps the -snapshots flag to a memo: "on" uses the default
-// capacity, "off" disables memoization (every test case re-executes its route
-// from scratch, the paper's literal discipline), and a positive integer
-// bounds the memo at that many snapshots.
-func parseSnapshots(v string) (*session.SnapshotMemo, error) {
-	switch v {
-	case "on":
-		return session.NewSnapshotMemo(0), nil
-	case "off":
-		return nil, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n <= 0 {
-		return nil, fmt.Errorf("-snapshots takes on, off, or a positive capacity, got %q", v)
-	}
-	return session.NewSnapshotMemo(n), nil
-}
-
-// parseDevices maps the -devices flag to a fleet size: "auto" picks
-// GOMAXPROCS capped at 8 (the FRAGDROID_DEVICES environment variable, when
-// set, overrides "auto"), and a positive integer is used verbatim. One device
-// means no fleet — each app's engines run fully sequentially.
-func parseDevices(v string) (int, error) {
-	if v == "auto" {
-		if env := os.Getenv("FRAGDROID_DEVICES"); env != "" {
-			v = env
-		}
-	}
-	if v == "auto" {
-		n := runtime.GOMAXPROCS(0)
-		if n > 8 {
-			n = 8
-		}
-		return n, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 1 {
-		return 0, fmt.Errorf("-devices takes auto or a positive device count, got %q", v)
-	}
-	return n, nil
-}
-
-// openCache maps the -cache flag to an artifact cache: "off" yields a plain
-// in-memory cache, "auto" the conventional store dir (FRAGDROID_CACHE or the
-// user cache dir), anything else a store rooted at that directory.
-func openCache(flagVal string) (*artifact.Cache, error) {
-	dir, err := artifact.ResolveDir(flagVal)
-	if err != nil {
-		return nil, err
-	}
-	return artifact.NewPersistentCache(dir)
-}
-
-// startProfiles starts CPU profiling and arranges a heap snapshot, per the
-// -cpuprofile/-memprofile flags; the returned stop function finalizes both.
-func startProfiles(cpuPath, memPath string) (func(), error) {
-	var cpuFile *os.File
-	if cpuPath != "" {
-		f, err := os.Create(cpuPath)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return nil, err
-		}
-		cpuFile = f
-	}
-	return func() {
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			cpuFile.Close()
-		}
-		if memPath != "" {
-			f, err := os.Create(memPath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // flush unreachable allocations out of the snapshot
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "memprofile:", err)
-			}
-		}
-	}, nil
-}
-
-// writeTrace dumps the collected structured events as a JSON array; "-"
-// writes to stdout. A nil buffer (no -trace flag) is a no-op.
-func writeTrace(path string, buf *session.TraceBuffer) error {
-	if buf == nil {
-		return nil
-	}
-	data, err := buf.JSON()
-	if err != nil {
-		return err
-	}
-	if path == "-" {
-		fmt.Println(string(data))
-		return nil
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -1,13 +1,20 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
+	"fragdroid/internal/cli"
 	"fragdroid/internal/device"
+	"fragdroid/internal/report"
+	"fragdroid/internal/session"
 )
 
 // TestMain points the default "auto" store at a throwaway directory so tests
@@ -173,37 +180,98 @@ func TestRunTableWithMetricsAndTrace(t *testing.T) {
 	}
 }
 
-// TestParseDevices pins the -devices contract shared with fragdroid: auto is
-// GOMAXPROCS capped at 8, FRAGDROID_DEVICES overrides only auto, and bad
-// values error.
-func TestParseDevices(t *testing.T) {
-	t.Setenv("FRAGDROID_DEVICES", "")
-	n, err := parseDevices("auto")
-	if err != nil || n < 1 || n > 8 {
-		t.Fatalf("parseDevices(auto) = %d, %v; want 1..8", n, err)
+// captureRun runs the CLI and returns what it printed on stdout.
+func captureRun(t *testing.T, args ...string) []byte {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Setenv("FRAGDROID_DEVICES", "3")
-	if n, err := parseDevices("auto"); err != nil || n != 3 {
-		t.Fatalf("env override: parseDevices(auto) = %d, %v; want 3", n, err)
+	defer f.Close()
+	stdout := os.Stdout
+	os.Stdout = f
+	err = run(args)
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatalf("run %v: %v", args, err)
 	}
-	if n, err := parseDevices("5"); err != nil || n != 5 {
-		t.Fatalf("explicit flag beats env: parseDevices(5) = %d, %v", n, err)
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, bad := range []string{"0", "-1", "lots"} {
-		if _, err := parseDevices(bad); err == nil {
-			t.Errorf("parseDevices(%q): want error", bad)
+	return out
+}
+
+// storeFiles lists the files under dir with their sizes, sorted by path.
+func storeFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	var files []string
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
 		}
+		info, err := d.Info()
+		if err != nil {
+			return err
+		}
+		files = append(files, path+" "+strconv.FormatInt(info.Size(), 10))
+		return nil
+	})
+	if err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	slices.Sort(files)
+	return files
+}
+
+// TestRunTablesWriteNoSnapshots pins that table runs replay every route from
+// launch: a cold and then a warm run on one store print the same tables and
+// leave the store's snapshot/ keyspace empty.
+func TestRunTablesWriteNoSnapshots(t *testing.T) {
+	dir := t.TempDir()
+	cold := captureRun(t, "-table1", "-table2", "-cache", dir)
+	if len(storeFiles(t, filepath.Join(dir, "extraction"))) == 0 {
+		t.Fatal("cold run filled no extractions into the store")
+	}
+	warm := captureRun(t, "-table1", "-table2", "-cache", dir)
+	if !bytes.Equal(cold, warm) {
+		t.Errorf("warm output differs from cold:\n%s\nvs\n%s", warm, cold)
+	}
+	if files := storeFiles(t, filepath.Join(dir, "snapshot")); len(files) > 0 {
+		t.Errorf("table runs wrote %d snapshot entries", len(files))
 	}
 }
 
-// TestRunDevicesFlag drives a table run under an explicit fleet size and
-// rejects invalid values at the flag boundary.
-func TestRunDevicesFlag(t *testing.T) {
-	if err := run([]string{"-table1", "-devices", "2"}); err != nil {
-		t.Fatalf("run -table1 -devices 2: %v", err)
+// TestRunTablesOverSnapshotPacks pins that a store still holding the
+// snapshot packs older builds persisted serves a warm table run whose output
+// is byte-identical to a cold run, and that the run leaves those packs alone.
+func TestRunTablesOverSnapshotPacks(t *testing.T) {
+	dir := t.TempDir()
+	cache, err := cli.OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := run([]string{"-devices", "0"}); err == nil {
-		t.Error("-devices 0: want error")
+	// The configuration older fragstudy builds ran table evaluations with.
+	cfg := report.DefaultEvalConfig()
+	cfg.Seed = 1
+	cfg.Cache = cache
+	cfg.Snapshots = session.NewSnapshotMemo(0)
+	cfg.PersistSnapshots = true
+	if _, err := report.RunEvaluation(cfg); err != nil {
+		t.Fatal(err)
+	}
+	packs := storeFiles(t, filepath.Join(dir, "snapshot"))
+	if len(packs) == 0 {
+		t.Fatal("seeding the store wrote no snapshot packs")
+	}
+
+	warm := captureRun(t, "-table1", "-table2", "-cache", dir)
+	cold := captureRun(t, "-table1", "-table2", "-cache", t.TempDir())
+	if !bytes.Equal(warm, cold) {
+		t.Errorf("warm output over snapshot packs differs from cold:\n%s\nvs\n%s", warm, cold)
+	}
+	if got := storeFiles(t, filepath.Join(dir, "snapshot")); !slices.Equal(got, packs) {
+		t.Errorf("warm run touched the snapshot packs: %d entries before, %d after", len(packs), len(got))
 	}
 }
 
