@@ -93,7 +93,13 @@ func run(args []string) error {
 		manifest = &familyManifest{Corpus: "family", N: *famN, Seed: *seed}
 	}
 	for i := 0; i < src.Len(); i++ {
-		spec := src.At(i)
+		var spec *corpus.AppSpec
+		var axes []string
+		if fam != nil {
+			spec, axes = fam.Member(i)
+		} else {
+			spec = src.At(i)
+		}
 		arch, err := corpus.BuildArchive(spec)
 		if err != nil {
 			return err
@@ -106,7 +112,7 @@ func run(args []string) error {
 			manifest.Apps = append(manifest.Apps, familyManifestApp{
 				Package: spec.Package,
 				File:    filepath.Base(path),
-				Axes:    fam.Axes(i),
+				Axes:    axes,
 			})
 		}
 		if buf != nil {

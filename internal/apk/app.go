@@ -141,17 +141,23 @@ func Assemble(man *manifest.Manifest, layouts []*layout.Layout, classes []*smali
 		}
 		lmap[l.Name] = l
 	}
-	prog := smali.NewProgram()
-	orderedC := append([]*smali.Class(nil), classes...)
-	sort.Slice(orderedC, func(i, j int) bool {
-		return smaliPath(orderedC[i].Name) < smaliPath(orderedC[j].Name)
-	})
-	for _, c := range orderedC {
+	prog := smali.NewProgramSized(len(classes))
+	type pathed struct {
+		path string
+		c    *smali.Class
+	}
+	orderedC := make([]pathed, len(classes))
+	for i, c := range classes {
+		orderedC[i] = pathed{smaliPath(c.Name), c}
+	}
+	sort.Slice(orderedC, func(i, j int) bool { return orderedC[i].path < orderedC[j].path })
+	for _, pc := range orderedC {
+		c := pc.c
 		if err := c.Check(); err != nil {
 			return nil, err
 		}
 		if c.SourceFile == "" {
-			c.SourceFile = smaliPath(c.Name)
+			c.SourceFile = pc.path
 		}
 		if err := prog.Add(c); err != nil {
 			return nil, err

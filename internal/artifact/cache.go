@@ -259,7 +259,11 @@ func (c *Cache) Stats() Stats {
 // and completes normally; the entry just becomes unreachable for new
 // lookups.
 func (c *Cache) Evict(spec *corpus.AppSpec) {
-	key := Key(spec)
+	c.EvictKey(Key(spec))
+}
+
+// EvictKey is Evict for a caller that already holds Key(spec).
+func (c *Cache) EvictKey(key string) {
 	c.mu.Lock()
 	delete(c.apps, key)
 	delete(c.exts, key)
@@ -385,7 +389,13 @@ func (c *Cache) installIR(store *Store, key string, app *apk.App) {
 // exactly like corpus.BuildApp; the error is memoized too. The returned App
 // is shared between callers and must be treated as read-only.
 func (c *Cache) App(spec *corpus.AppSpec) (*apk.App, error) {
-	key := Key(spec)
+	return c.KeyedApp(Key(spec), spec)
+}
+
+// KeyedApp is App for a caller that already holds key = Key(spec), so a
+// pipeline that looks an app up, extracts it and evicts it hashes the spec
+// once.
+func (c *Cache) KeyedApp(key string, spec *corpus.AppSpec) (*apk.App, error) {
 	c.mu.Lock()
 	e := c.apps[key]
 	store := c.store
@@ -424,7 +434,12 @@ func (c *Cache) App(spec *corpus.AppSpec) (*apk.App, error) {
 // concurrent explorations: explorers clone the mutable AFTM and treat
 // everything else as read-only.
 func (c *Cache) Extraction(spec *corpus.AppSpec) (*statics.Extraction, error) {
-	key := Key(spec)
+	return c.KeyedExtraction(Key(spec), spec)
+}
+
+// KeyedExtraction is Extraction for a caller that already holds
+// key = Key(spec).
+func (c *Cache) KeyedExtraction(key string, spec *corpus.AppSpec) (*statics.Extraction, error) {
 	c.mu.Lock()
 	e := c.exts[key]
 	store := c.store
@@ -437,7 +452,7 @@ func (c *Cache) Extraction(spec *corpus.AppSpec) (*statics.Extraction, error) {
 	}
 	c.mu.Unlock()
 	e.once.Do(func() {
-		app, err := c.App(spec)
+		app, err := c.KeyedApp(key, spec)
 		if err != nil {
 			e.err = err
 			return

@@ -81,6 +81,15 @@ func TestExtractionSharesApp(t *testing.T) {
 	if st := c.Stats(); st.Extractions != 1 {
 		t.Errorf("Extractions after warm lookup = %d, want 1", st.Extractions)
 	}
+	// The keyed forms address the same entries the spec forms do.
+	key := Key(spec)
+	if ex3, err := c.KeyedExtraction(key, spec); err != nil || ex3 != ex {
+		t.Errorf("KeyedExtraction = %p, %v; want the memoized %p", ex3, err, ex)
+	}
+	c.EvictKey(key)
+	if n := c.Live(); n != 0 {
+		t.Errorf("Live after EvictKey = %d, want 0", n)
+	}
 }
 
 // TestKeyDistinguishesSpecs checks that keys are content-based: equal specs

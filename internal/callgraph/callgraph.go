@@ -152,15 +152,23 @@ type Site struct {
 }
 
 // Graph is the whole-program call/transition graph of one application.
+// Nodes are interned to dense int32 IDs when first seen; adjacency,
+// successor IDs and API sites are slices indexed by ID.
 type Graph struct {
 	prog *smali.Program
 
-	nodes map[Node]bool
-	order []Node
-	out   map[Node][]Edge
+	// ids interns every node the build has seen. That includes method nodes
+	// that only carry API sites: they become graph nodes, and their sites
+	// become listed, only once an edge touches them.
+	ids     map[Node]int32
+	nodes   []Node  // by ID
+	inGraph []bool  // by ID: the node is a graph node
+	order   []int32 // graph nodes in insertion order
+	out     [][]Edge
+	succ    [][]int32 // by ID, parallel to out: the ID of each edge's To
 
-	// apis maps a method node to the sensitive APIs it invokes.
-	apis map[Node][]apiSite
+	// apis holds, per method-node ID, the sensitive APIs it invokes.
+	apis [][]apiSite
 
 	// launcher is the MAIN/LAUNCHER activity ("" if the manifest has none).
 	launcher string
@@ -169,6 +177,19 @@ type Graph struct {
 	activities []string
 	fragments  []string
 	receivers  []string
+}
+
+func newGraph(prog *smali.Program, hint int) *Graph {
+	return &Graph{
+		prog:    prog,
+		ids:     make(map[Node]int32, hint),
+		nodes:   make([]Node, 0, hint),
+		inGraph: make([]bool, 0, hint),
+		order:   make([]int32, 0, hint),
+		out:     make([][]Edge, 0, hint),
+		succ:    make([][]int32, 0, hint),
+		apis:    make([][]apiSite, 0, hint),
+	}
 }
 
 // Launcher returns the MAIN/LAUNCHER activity class ("" if none).
@@ -184,27 +205,42 @@ func (g *Graph) Fragments() []string { return append([]string(nil), g.fragments.
 func (g *Graph) Receivers() []string { return append([]string(nil), g.receivers...) }
 
 // Nodes returns every node in insertion order.
-func (g *Graph) Nodes() []Node { return append([]Node(nil), g.order...) }
+func (g *Graph) Nodes() []Node {
+	if len(g.order) == 0 {
+		return nil
+	}
+	out := make([]Node, len(g.order))
+	for i, id := range g.order {
+		out[i] = g.nodes[id]
+	}
+	return out
+}
 
 // Edges returns every edge, grouped by source node in insertion order.
 func (g *Graph) Edges() []Edge {
 	var out []Edge
-	for _, n := range g.order {
-		out = append(out, g.out[n]...)
+	for _, id := range g.order {
+		out = append(out, g.out[id]...)
 	}
 	return out
 }
 
 // EdgesFrom returns the out-edges of a node.
-func (g *Graph) EdgesFrom(n Node) []Edge { return append([]Edge(nil), g.out[n]...) }
+func (g *Graph) EdgesFrom(n Node) []Edge {
+	id, ok := g.ids[n]
+	if !ok {
+		return nil
+	}
+	return append([]Edge(nil), g.out[id]...)
+}
 
 // Sites returns every sensitive-API invocation site, in node insertion order
 // and statement order within a node — deterministic across builds.
 func (g *Graph) Sites() []Site {
 	var out []Site
-	for _, n := range g.order {
-		for _, s := range g.apis[n] {
-			out = append(out, Site{Node: n, API: s.api, Line: s.line})
+	for _, id := range g.order {
+		for _, s := range g.apis[id] {
+			out = append(out, Site{Node: g.nodes[id], API: s.api, Line: s.line})
 		}
 	}
 	return out
@@ -219,22 +255,49 @@ func (g *Graph) Size() (nodes, edges int) {
 	return nodes, edges
 }
 
-func (g *Graph) addNode(n Node) {
-	if !g.nodes[n] {
-		g.nodes[n] = true
-		g.order = append(g.order, n)
+// intern returns n's ID, assigning the next one on first sight without
+// making n a graph node.
+func (g *Graph) intern(n Node) int32 {
+	if id, ok := g.ids[n]; ok {
+		return id
 	}
+	id := int32(len(g.nodes))
+	g.ids[n] = id
+	g.nodes = append(g.nodes, n)
+	g.inGraph = append(g.inGraph, false)
+	g.out = append(g.out, nil)
+	g.succ = append(g.succ, nil)
+	g.apis = append(g.apis, nil)
+	return id
+}
+
+// addNode makes n a graph node (appending it to the insertion order the
+// first time) and returns its ID.
+func (g *Graph) addNode(n Node) int32 {
+	id := g.intern(n)
+	if !g.inGraph[id] {
+		g.inGraph[id] = true
+		g.order = append(g.order, id)
+	}
+	return id
+}
+
+// node returns the ID of a graph node.
+func (g *Graph) node(n Node) (int32, bool) {
+	id, ok := g.ids[n]
+	return id, ok && g.inGraph[id]
 }
 
 func (g *Graph) addEdge(from, to Node, reason Reason, line int, ref string) {
-	g.addNode(from)
-	g.addNode(to)
-	for _, e := range g.out[from] {
-		if e.To == to && e.Reason == reason && e.Ref == ref {
+	f := g.addNode(from)
+	t := g.addNode(to)
+	for i, e := range g.out[f] {
+		if g.succ[f][i] == t && e.Reason == reason && e.Ref == ref {
 			return
 		}
 	}
-	g.out[from] = append(g.out[from], Edge{From: from, To: to, Reason: reason, Line: line, Ref: ref})
+	g.out[f] = append(g.out[f], Edge{From: from, To: to, Reason: reason, Line: line, Ref: ref})
+	g.succ[f] = append(g.succ[f], t)
 }
 
 // lifecycle entry points per component kind, matching the device runtime.
@@ -256,21 +319,6 @@ func OuterComponent(class string) string {
 
 func outerComponent(class string) string { return OuterComponent(class) }
 
-// resolveMethod finds the class that defines method, searching class and its
-// application-level superclass chain — the runtime's virtual dispatch.
-func resolveMethod(prog *smali.Program, class, method string) (string, bool) {
-	for _, cn := range append([]string{class}, prog.SuperChain(class)...) {
-		c := prog.Class(cn)
-		if c == nil {
-			continue
-		}
-		if c.Method(method) != nil {
-			return cn, true
-		}
-	}
-	return "", false
-}
-
 // Build constructs the whole-program graph of app. java is the jdcore
 // lowering of app.Program; pass nil to have Build decompile it itself.
 func Build(app *apk.App, java *jdcore.Program) *Graph {
@@ -280,12 +328,13 @@ func Build(app *apk.App, java *jdcore.Program) *Graph {
 	prog := app.Program
 	man := app.Manifest
 
-	g := &Graph{
-		prog:  prog,
-		nodes: make(map[Node]bool),
-		out:   make(map[Node][]Edge),
-		apis:  make(map[Node][]apiSite),
+	// Size for about one node per class and per method.
+	names := prog.Names()
+	hint := len(names)
+	for _, cn := range names {
+		hint += len(prog.Class(cn).Methods)
 	}
+	g := newGraph(prog, hint)
 	if entry, err := man.EntryActivity(); err == nil {
 		g.launcher = entry
 	}
@@ -363,7 +412,7 @@ func Build(app *apk.App, java *jdcore.Program) *Graph {
 	// chain like the runtime's method dispatch.
 	addLifecycle := func(comp Node, methods []string) {
 		for _, m := range methods {
-			if def, ok := resolveMethod(prog, comp.Class, m); ok {
+			if def, ok := prog.Resolve(comp.Class, m); ok {
 				g.addEdge(comp, MethodNode(def, m), ReasonLifecycle, 0, "")
 			}
 		}
@@ -404,7 +453,7 @@ func Build(app *apk.App, java *jdcore.Program) *Graph {
 			}
 			l.Walk(func(w *layout.Widget) bool {
 				if w.OnClick != "" {
-					if def, ok := resolveMethod(prog, class, w.OnClick); ok {
+					if def, ok := prog.Resolve(class, w.OnClick); ok {
 						g.addEdge(comp, MethodNode(def, w.OnClick), ReasonXMLOnClick, 0, w.IDRef)
 					}
 				}
@@ -419,7 +468,7 @@ func Build(app *apk.App, java *jdcore.Program) *Graph {
 	}
 
 	// Method-level statement edges.
-	for _, cn := range prog.Names() {
+	for _, cn := range names {
 		jc := java.Class(cn)
 		if jc == nil {
 			continue
@@ -453,11 +502,12 @@ func Build(app *apk.App, java *jdcore.Program) *Graph {
 					// set-click-listener registers the handler on the component
 					// whose context executes the registration; Ref carries the
 					// widget the registration targets.
-					if def, ok := resolveMethod(prog, owner, st.Ident); ok {
+					if def, ok := prog.Resolve(owner, st.Ident); ok {
 						g.addEdge(from, MethodNode(def, st.Ident), ReasonListener, st.Line, st.Res)
 					}
 				case jdcore.StmtSensitiveCall:
-					g.apis[from] = append(g.apis[from], apiSite{api: st.API, line: st.Line})
+					id := g.intern(from)
+					g.apis[id] = append(g.apis[id], apiSite{api: st.API, line: st.Line})
 				}
 			}
 		}

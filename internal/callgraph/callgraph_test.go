@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"fragdroid/internal/apk"
+	"fragdroid/internal/binc"
 	"fragdroid/internal/layout"
 	"fragdroid/internal/manifest"
 	"fragdroid/internal/smali"
@@ -301,6 +302,61 @@ func TestEdgeRefs(t *testing.T) {
 	for i := range ge {
 		if de[i] != ge[i] {
 			t.Errorf("decoded edge %d = %s, want %s", i, de[i], ge[i])
+		}
+	}
+}
+
+// TestEdgelessMethodSitesUnlisted pins that the sensitive sites of a method
+// no edge touches are not listed: Main.deadCode invokes contacts/query, but
+// nothing registers or calls it, so it is neither a node nor a site, before
+// or after an encode/decode round trip — while a method an edge reaches
+// (Next.onCreate) lists its site.
+func TestEdgelessMethodSitesUnlisted(t *testing.T) {
+	g := Build(testApp(t), nil)
+	check := func(label string, g *Graph) {
+		t.Helper()
+		dead := MethodNode("com.ex.Main", "deadCode")
+		for _, n := range g.Nodes() {
+			if n == dead {
+				t.Errorf("%s: edge-less method %s is a node", label, dead)
+			}
+		}
+		var listed bool
+		for _, s := range g.Sites() {
+			if s.API == "contacts/query" {
+				t.Errorf("%s: site of edge-less method listed: %+v", label, s)
+			}
+			if s.Node == MethodNode("com.ex.Next", "onCreate") && s.API == "location/getProviders" {
+				listed = true
+			}
+		}
+		if !listed {
+			t.Errorf("%s: site of Next.onCreate not listed", label)
+		}
+		if es := g.EdgesFrom(dead); es != nil {
+			t.Errorf("%s: EdgesFrom(edge-less method) = %v", label, es)
+		}
+	}
+	check("built", g)
+	data, err := g.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := Decode(data, g.prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("decoded", back)
+}
+
+// TestDecodeRejectsNodeCountOutOfRange checks that a node count no payload
+// of that size could hold is an error, not an allocation of that size.
+func TestDecodeRejectsNodeCountOutOfRange(t *testing.T) {
+	for _, n := range []int{-1, 1 << 40} {
+		w := binc.NewWriter()
+		w.Int(n)
+		if _, err := Decode(w.Bytes(), nil); err == nil {
+			t.Errorf("node count %d: want an error", n)
 		}
 	}
 }

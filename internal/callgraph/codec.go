@@ -28,17 +28,17 @@ func decodeNode(r *binc.Reader) Node {
 func (g *Graph) Encode() ([]byte, error) {
 	w := binc.NewWriter()
 	w.Int(len(g.order))
-	for _, n := range g.order {
-		encodeNode(w, n)
+	for _, id := range g.order {
+		encodeNode(w, g.nodes[id])
 	}
 	var nEdges, nAPIs int
-	for _, n := range g.order {
-		nEdges += len(g.out[n])
-		nAPIs += len(g.apis[n])
+	for _, id := range g.order {
+		nEdges += len(g.out[id])
+		nAPIs += len(g.apis[id])
 	}
 	w.Int(nEdges)
-	for _, n := range g.order {
-		for _, e := range g.out[n] {
+	for _, id := range g.order {
+		for _, e := range g.out[id] {
 			encodeNode(w, e.From)
 			encodeNode(w, e.To)
 			w.Str(string(e.Reason))
@@ -47,9 +47,9 @@ func (g *Graph) Encode() ([]byte, error) {
 		}
 	}
 	w.Int(nAPIs)
-	for _, n := range g.order {
-		for _, s := range g.apis[n] {
-			encodeNode(w, n)
+	for _, id := range g.order {
+		for _, s := range g.apis[id] {
+			encodeNode(w, g.nodes[id])
 			w.Str(s.api)
 			w.Int(s.line)
 		}
@@ -71,12 +71,10 @@ func Decode(data []byte, prog *smali.Program) (*Graph, error) {
 		return nil, fmt.Errorf("callgraph: decode: %w", err)
 	}
 	nNodes := r.Int()
-	g := &Graph{
-		prog:  prog,
-		nodes: make(map[Node]bool, nNodes),
-		out:   make(map[Node][]Edge, nNodes),
-		apis:  make(map[Node][]apiSite),
+	if nNodes < 0 || nNodes > len(data) {
+		return nil, fmt.Errorf("callgraph: decode: node count %d out of range", nNodes)
 	}
+	g := newGraph(prog, nNodes)
 	for i := 0; i < nNodes && r.Err() == nil; i++ {
 		g.addNode(decodeNode(r))
 	}
@@ -86,10 +84,13 @@ func Decode(data []byte, prog *smali.Program) (*Graph, error) {
 		if r.Err() != nil {
 			break
 		}
-		if !g.nodes[e.From] || !g.nodes[e.To] {
+		f, okFrom := g.node(e.From)
+		t, okTo := g.node(e.To)
+		if !okFrom || !okTo {
 			return nil, fmt.Errorf("callgraph: decode: edge %s touches undeclared node", e)
 		}
-		g.out[e.From] = append(g.out[e.From], e)
+		g.out[f] = append(g.out[f], e)
+		g.succ[f] = append(g.succ[f], t)
 	}
 	nAPIs := r.Int()
 	for i := 0; i < nAPIs && r.Err() == nil; i++ {
@@ -98,10 +99,11 @@ func Decode(data []byte, prog *smali.Program) (*Graph, error) {
 		if r.Err() != nil {
 			break
 		}
-		if !g.nodes[n] {
+		id, ok := g.node(n)
+		if !ok {
 			return nil, fmt.Errorf("callgraph: decode: API site on undeclared node %s", n)
 		}
-		g.apis[n] = append(g.apis[n], s)
+		g.apis[id] = append(g.apis[id], s)
 	}
 	g.launcher = r.Str()
 	g.activities = r.StrSlice()

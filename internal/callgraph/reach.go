@@ -55,26 +55,47 @@ func (r *Reach) Invocations() int {
 // Reach runs a breadth-first fixpoint from the given root nodes. Roots that
 // are not graph nodes are ignored.
 func (g *Graph) Reach(roots []Node) *Reach {
+	visited := make([]bool, len(g.nodes))
+	var queue []int32
+	for _, n := range roots {
+		if id, ok := g.node(n); ok && !visited[id] {
+			visited[id] = true
+			queue = append(queue, id)
+		}
+	}
+	for head := 0; head < len(queue); head++ {
+		for _, t := range g.succ[queue[head]] {
+			if !visited[t] {
+				visited[t] = true
+				queue = append(queue, t)
+			}
+		}
+	}
+
+	// queue now lists every reached node once; size the result sets to it.
+	var nAct, nFrag, nRcv, nMethod int
+	for _, id := range queue {
+		switch g.nodes[id].Kind {
+		case KindActivity:
+			nAct++
+		case KindFragment:
+			nFrag++
+		case KindReceiver:
+			nRcv++
+		case KindMethod:
+			nMethod++
+		}
+	}
 	r := &Reach{
-		Activities: make(map[string]bool),
-		Fragments:  make(map[string]bool),
-		Receivers:  make(map[string]bool),
-		Methods:    make(map[string]bool),
+		Activities: make(map[string]bool, nAct),
+		Fragments:  make(map[string]bool, nFrag),
+		Receivers:  make(map[string]bool, nRcv),
+		Methods:    make(map[string]bool, nMethod),
 		APIs:       make(map[string][]string),
 	}
 	apiOwners := make(map[string]map[string]bool)
-
-	visited := make(map[Node]bool)
-	var queue []Node
-	for _, n := range roots {
-		if g.nodes[n] && !visited[n] {
-			visited[n] = true
-			queue = append(queue, n)
-		}
-	}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
+	for _, id := range queue {
+		n := g.nodes[id]
 		switch n.Kind {
 		case KindActivity:
 			r.Activities[n.Class] = true
@@ -84,18 +105,12 @@ func (g *Graph) Reach(roots []Node) *Reach {
 			r.Receivers[n.Class] = true
 		case KindMethod:
 			r.Methods[n.Class+"."+n.Method] = true
-			for _, site := range g.apis[n] {
+			for _, site := range g.apis[id] {
 				owner := outerComponent(n.Class)
 				if apiOwners[site.api] == nil {
 					apiOwners[site.api] = make(map[string]bool)
 				}
 				apiOwners[site.api][owner] = true
-			}
-		}
-		for _, e := range g.out[n] {
-			if !visited[e.To] {
-				visited[e.To] = true
-				queue = append(queue, e.To)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package corpus
 
 import (
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -23,9 +24,48 @@ func TestFamilyDeterministicAndPure(t *testing.T) {
 		if !reflect.DeepEqual(small.Axes(i), big.Axes(i)) {
 			t.Fatalf("axes of member %d differ across family sizes", i)
 		}
+		spec, axes := small.Member(i)
+		if !reflect.DeepEqual(spec, a) || !reflect.DeepEqual(axes, small.Axes(i)) {
+			t.Fatalf("Member(%d) differs from At/Axes", i)
+		}
 	}
 	if got := NewFamily(40, 8).At(3); reflect.DeepEqual(got, small.At(3)) {
 		t.Fatalf("different seeds produced identical member 3")
+	}
+}
+
+// TestSeededRandRestartsStream pins what the generator pool relies on: a
+// used *rand.Rand, re-seeded, draws exactly the stream a fresh
+// rand.New(rand.NewSource(seed)) draws.
+func TestSeededRandRestartsStream(t *testing.T) {
+	sameStream := func(seed int64, got *rand.Rand) {
+		t.Helper()
+		want := rand.New(rand.NewSource(seed))
+		for k := 0; k < 50; k++ {
+			if g, w := got.Int63(), want.Int63(); g != w {
+				t.Fatalf("seed %d draw %d: Int63 %d, fresh source %d", seed, k, g, w)
+			}
+			if g, w := got.Intn(97), want.Intn(97); g != w {
+				t.Fatalf("seed %d draw %d: Intn %d, fresh source %d", seed, k, g, w)
+			}
+		}
+		gb, wb := make([]byte, 7), make([]byte, 7)
+		got.Read(gb)
+		want.Read(wb)
+		if !reflect.DeepEqual(gb, wb) {
+			t.Fatalf("seed %d: Read %v, fresh source %v", seed, gb, wb)
+		}
+	}
+	for _, seed := range []int64{0, 1, 42, -7, 1 << 40} {
+		used := rand.New(rand.NewSource(seed + 1))
+		used.Read(make([]byte, 5)) // leaves buffered Read state behind
+		used.Intn(10)
+		used.Seed(seed)
+		sameStream(seed, used)
+
+		pooled := seededRand(seed)
+		sameStream(seed, pooled)
+		rngPool.Put(pooled)
 	}
 }
 

@@ -86,7 +86,8 @@ func stripFragments(spec *AppSpec) {
 // activities, a sprinkle of fragments across all wire kinds, optional gates
 // and drawers. Property tests run the whole pipeline over these.
 func RandomSpec(pkg string, seed int64) *AppSpec {
-	rng := rand.New(rand.NewSource(seed))
+	rng := seededRand(seed)
+	defer rngPool.Put(rng)
 	spec := &AppSpec{Package: pkg}
 
 	nActs := 2 + rng.Intn(6)

@@ -87,10 +87,10 @@ type Statement struct {
 	API string
 	// Support is true for getSupportFragmentManager.
 	Support bool
-	// Source is the rendered Java source line.
-	Source string
 	// Line is the originating smali line.
 	Line int
+	// ins is the lowered instruction; Source renders from it on demand.
+	ins *smali.Instr
 }
 
 // Method is a lowered method.
@@ -106,6 +106,9 @@ type Class struct {
 	Methods []Method
 	// SourceFile is carried over from the smali class.
 	SourceFile string
+	// stmts holds every statement of the class in declaration order; each
+	// method's Statements is a subslice of it.
+	stmts []Statement
 }
 
 // Method returns the named lowered method, or nil.
@@ -120,13 +123,9 @@ func (c *Class) Method(name string) *Method {
 
 // Statements returns all statements of the class, across methods, in
 // declaration order. Algorithm 1 iterates "all lines in A0.java"; this is
-// that view.
+// that view. The slice is the class's own storage and must not be modified.
 func (c *Class) Statements() []Statement {
-	var out []Statement
-	for _, m := range c.Methods {
-		out = append(out, m.Statements...)
-	}
-	return out
+	return c.stmts
 }
 
 // Program is a lowered program keyed by class name.
@@ -141,21 +140,35 @@ func (p *Program) Class(name string) *Class { return p.classes[name] }
 // Names returns lowered class names in insertion order.
 func (p *Program) Names() []string { return append([]string(nil), p.order...) }
 
-// Decompile lowers every class of a smali program.
+// Decompile lowers every class of a smali program. Each class's statements
+// are lowered into one slice that its methods' Statements subslice.
 func Decompile(sp *smali.Program) *Program {
-	p := &Program{classes: make(map[string]*Class)}
-	for _, name := range sp.Names() {
+	names := sp.Names()
+	p := &Program{classes: make(map[string]*Class, len(names)), order: names}
+	for _, name := range names {
 		sc := sp.Class(name)
-		jc := &Class{Name: sc.Name, Super: sc.Super, SourceFile: sc.SourceFile}
+		n := 0
 		for _, m := range sc.Methods {
-			jm := Method{Name: m.Name}
-			for _, ins := range m.Body {
-				jm.Statements = append(jm.Statements, Lower(ins))
+			n += len(m.Body)
+		}
+		jc := &Class{
+			Name: sc.Name, Super: sc.Super, SourceFile: sc.SourceFile,
+			Methods: make([]Method, len(sc.Methods)),
+			stmts:   make([]Statement, n),
+		}
+		off := 0
+		for i, m := range sc.Methods {
+			start := off
+			for k := range m.Body {
+				jc.stmts[off] = lower(&m.Body[k])
+				off++
 			}
-			jc.Methods = append(jc.Methods, jm)
+			jc.Methods[i] = Method{Name: m.Name}
+			if off > start {
+				jc.Methods[i].Statements = jc.stmts[start:off:off]
+			}
 		}
 		p.classes[jc.Name] = jc
-		p.order = append(p.order, jc.Name)
 	}
 	return p
 }
@@ -176,105 +189,147 @@ func rid(ref string) string {
 
 // Lower converts one smali instruction to its Java-like statement.
 func Lower(ins smali.Instr) Statement {
-	st := Statement{Line: ins.Line}
+	return lower(&ins)
+}
+
+// lower is Lower over an instruction that stays alive with the statement,
+// so Decompile can point statements into the method bodies without copying.
+func lower(ins *smali.Instr) Statement {
+	st := Statement{Line: ins.Line, ins: ins}
 	switch ins.Op {
 	case smali.OpNewIntent:
 		st.Kind = StmtNewIntentExplicit
 		st.Class1, st.Class2 = ins.Args[0], ins.Args[1]
-		st.Source = fmt.Sprintf("Intent intent = new Intent(%s.class, %s.class);",
-			simple(st.Class1), simple(st.Class2))
 	case smali.OpSetClass:
 		st.Kind = StmtSetClass
 		st.Class1, st.Class2 = ins.Args[0], ins.Args[1]
-		st.Source = fmt.Sprintf("intent.setClass(%s.this, %s.class);",
-			simple(st.Class1), simple(st.Class2))
 	case smali.OpNewIntentAction:
 		st.Kind = StmtNewIntentAction
 		st.Action = ins.Args[0]
-		st.Source = fmt.Sprintf("Intent intent = new Intent(%q);", st.Action)
 	case smali.OpSetAction:
 		st.Kind = StmtSetAction
 		st.Action = ins.Args[0]
-		st.Source = fmt.Sprintf("intent.setAction(%q);", st.Action)
 	case smali.OpStartActivity:
 		st.Kind = StmtStartActivity
-		st.Source = "startActivity(intent);"
 	case smali.OpSendBroadcast:
 		st.Kind = StmtSendBroadcast
 		st.Action = ins.Args[0]
-		st.Source = fmt.Sprintf("sendBroadcast(new Intent(%q));", st.Action)
 	case smali.OpPutExtra:
 		st.Kind = StmtPutExtra
 		st.Key, st.Value = ins.Args[0], ins.Args[1]
-		st.Source = fmt.Sprintf("intent.putExtra(%q, %q);", st.Key, st.Value)
 	case smali.OpRequireExtra:
 		st.Kind = StmtRequireExtra
 		st.Key = ins.Args[0]
-		st.Source = fmt.Sprintf("if (getIntent().getStringExtra(%q) == null) throw new IllegalStateException();", st.Key)
 	case smali.OpNewInstance:
 		st.Kind = StmtNewInstance
 		st.Class1 = ins.Args[0]
-		st.Source = fmt.Sprintf("%s obj = new %s();", simple(st.Class1), simple(st.Class1))
 	case smali.OpInvokeNewIn:
 		st.Kind = StmtNewInstanceCall
 		st.Class1 = ins.Args[0]
-		st.Source = fmt.Sprintf("%s obj = %s.newInstance();", simple(st.Class1), simple(st.Class1))
 	case smali.OpInstanceOf:
 		st.Kind = StmtInstanceOf
 		st.Class1 = ins.Args[0]
-		st.Source = fmt.Sprintf("if (obj instanceof %s) { ... }", simple(st.Class1))
 	case smali.OpGetFragmentManager:
 		st.Kind = StmtGetFragmentManager
-		st.Source = "FragmentManager fm = getFragmentManager();"
 	case smali.OpGetSupportFragmentManager:
 		st.Kind = StmtGetFragmentManager
 		st.Support = true
-		st.Source = "FragmentManager fm = getSupportFragmentManager();"
 	case smali.OpBeginTransaction:
 		st.Kind = StmtBeginTransaction
-		st.Source = "FragmentTransaction txn = fm.beginTransaction();"
 	case smali.OpTxnAdd:
 		st.Kind = StmtTxnAdd
 		st.Res, st.Class1 = ins.Args[0], ins.Args[1]
-		st.Source = fmt.Sprintf("txn.add(%s, new %s());", rid(st.Res), simple(st.Class1))
 	case smali.OpTxnReplace:
 		st.Kind = StmtTxnReplace
 		st.Res, st.Class1 = ins.Args[0], ins.Args[1]
-		st.Source = fmt.Sprintf("txn.replace(%s, new %s());", rid(st.Res), simple(st.Class1))
 	case smali.OpTxnRemove:
 		st.Kind = StmtTxnRemove
 		st.Class1 = ins.Args[0]
-		st.Source = fmt.Sprintf("txn.remove(%s);", simple(st.Class1))
 	case smali.OpTxnCommit:
 		st.Kind = StmtTxnCommit
-		st.Source = "txn.commit();"
 	case smali.OpInflateView:
 		st.Kind = StmtInflateFragmentView
 		st.Res, st.Class1 = ins.Args[0], ins.Args[1]
-		st.Source = fmt.Sprintf("inflater.inflate(%s, new %s().onCreateView());",
-			rid(st.Res), simple(st.Class1))
 	case smali.OpSetContentView:
 		st.Kind = StmtSetContentView
 		st.Res = ins.Args[0]
-		st.Source = fmt.Sprintf("setContentView(%s);", rid(st.Res))
 	case smali.OpSetClickListener:
 		st.Kind = StmtSetClickListener
 		st.Res, st.Ident = ins.Args[0], ins.Args[1]
-		st.Source = fmt.Sprintf("findViewById(%s).setOnClickListener(v -> %s());",
-			rid(st.Res), st.Ident)
 	case smali.OpInvokeSensitive:
 		st.Kind = StmtSensitiveCall
 		st.API = ins.Args[0]
-		st.Source = fmt.Sprintf("// sensitive: %s", st.API)
 	case smali.OpLoadLibrary:
 		st.Kind = StmtSensitiveCall
 		st.API = "shell/loadLibrary"
-		st.Source = fmt.Sprintf("System.loadLibrary(%q);", ins.Args[0])
 	default:
 		st.Kind = StmtOther
-		st.Source = "// " + ins.String()
 	}
 	return st
+}
+
+// Source renders the statement as a Java source line. Only the rendered
+// views (RenderJava, `fragdroid -java`) read it, so it is formatted on
+// demand rather than at lowering time.
+func (st Statement) Source() string {
+	switch st.Kind {
+	case StmtNewIntentExplicit:
+		return fmt.Sprintf("Intent intent = new Intent(%s.class, %s.class);",
+			simple(st.Class1), simple(st.Class2))
+	case StmtSetClass:
+		return fmt.Sprintf("intent.setClass(%s.this, %s.class);",
+			simple(st.Class1), simple(st.Class2))
+	case StmtNewIntentAction:
+		return fmt.Sprintf("Intent intent = new Intent(%q);", st.Action)
+	case StmtSetAction:
+		return fmt.Sprintf("intent.setAction(%q);", st.Action)
+	case StmtStartActivity:
+		return "startActivity(intent);"
+	case StmtSendBroadcast:
+		return fmt.Sprintf("sendBroadcast(new Intent(%q));", st.Action)
+	case StmtPutExtra:
+		return fmt.Sprintf("intent.putExtra(%q, %q);", st.Key, st.Value)
+	case StmtRequireExtra:
+		return fmt.Sprintf("if (getIntent().getStringExtra(%q) == null) throw new IllegalStateException();", st.Key)
+	case StmtNewInstance:
+		return fmt.Sprintf("%s obj = new %s();", simple(st.Class1), simple(st.Class1))
+	case StmtNewInstanceCall:
+		return fmt.Sprintf("%s obj = %s.newInstance();", simple(st.Class1), simple(st.Class1))
+	case StmtInstanceOf:
+		return fmt.Sprintf("if (obj instanceof %s) { ... }", simple(st.Class1))
+	case StmtGetFragmentManager:
+		if st.Support {
+			return "FragmentManager fm = getSupportFragmentManager();"
+		}
+		return "FragmentManager fm = getFragmentManager();"
+	case StmtBeginTransaction:
+		return "FragmentTransaction txn = fm.beginTransaction();"
+	case StmtTxnAdd:
+		return fmt.Sprintf("txn.add(%s, new %s());", rid(st.Res), simple(st.Class1))
+	case StmtTxnReplace:
+		return fmt.Sprintf("txn.replace(%s, new %s());", rid(st.Res), simple(st.Class1))
+	case StmtTxnRemove:
+		return fmt.Sprintf("txn.remove(%s);", simple(st.Class1))
+	case StmtTxnCommit:
+		return "txn.commit();"
+	case StmtInflateFragmentView:
+		return fmt.Sprintf("inflater.inflate(%s, new %s().onCreateView());",
+			rid(st.Res), simple(st.Class1))
+	case StmtSetContentView:
+		return fmt.Sprintf("setContentView(%s);", rid(st.Res))
+	case StmtSetClickListener:
+		return fmt.Sprintf("findViewById(%s).setOnClickListener(v -> %s());",
+			rid(st.Res), st.Ident)
+	case StmtSensitiveCall:
+		if st.ins != nil && st.ins.Op == smali.OpLoadLibrary {
+			return fmt.Sprintf("System.loadLibrary(%q);", st.ins.Args[0])
+		}
+		return fmt.Sprintf("// sensitive: %s", st.API)
+	}
+	if st.ins == nil {
+		return "//"
+	}
+	return "// " + st.ins.String()
 }
 
 // RenderJava renders the whole lowered class as pseudo-Java source. The
@@ -286,7 +341,7 @@ func RenderJava(c *Class) string {
 	for _, m := range c.Methods {
 		fmt.Fprintf(&b, "    public void %s() {\n", m.Name)
 		for _, s := range m.Statements {
-			fmt.Fprintf(&b, "        %s\n", s.Source)
+			fmt.Fprintf(&b, "        %s\n", s.Source())
 		}
 		b.WriteString("    }\n")
 	}

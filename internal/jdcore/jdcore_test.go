@@ -1,6 +1,7 @@
 package jdcore
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -83,7 +84,7 @@ func TestLoweredKinds(t *testing.T) {
 	}
 	for i, s := range oc.Statements {
 		if s.Kind != want[i] {
-			t.Errorf("stmt[%d].Kind = %d, want %d (%s)", i, s.Kind, want[i], s.Source)
+			t.Errorf("stmt[%d].Kind = %d, want %d (%s)", i, s.Kind, want[i], s.Source())
 		}
 	}
 	if !oc.Statements[2].Support {
@@ -104,8 +105,8 @@ func TestIntentStatements(t *testing.T) {
 	if ni.Kind != StmtNewIntentExplicit || ni.Class1 != "com.ex.MainActivity" || ni.Class2 != "com.ex.NextActivity" {
 		t.Fatalf("new-intent lowered wrong: %+v", ni)
 	}
-	if !strings.Contains(ni.Source, "new Intent(MainActivity.class, NextActivity.class)") {
-		t.Errorf("Source = %q", ni.Source)
+	if !strings.Contains(ni.Source(), "new Intent(MainActivity.class, NextActivity.class)") {
+		t.Errorf("Source = %q", ni.Source())
 	}
 	if pe := onGo.Statements[1]; pe.Kind != StmtPutExtra || pe.Key != "k" || pe.Value != "v" {
 		t.Errorf("put-extra should lower to StmtPutExtra{k,v}, got %+v", pe)
@@ -131,8 +132,8 @@ func TestObjectPatternStatements(t *testing.T) {
 			t.Errorf("stmt[%d].Class1 = %q", i, oc.Statements[i].Class1)
 		}
 	}
-	if !strings.Contains(oc.Statements[1].Source, "HomeFragment.newInstance()") {
-		t.Errorf("newInstance Source = %q", oc.Statements[1].Source)
+	if !strings.Contains(oc.Statements[1].Source(), "HomeFragment.newInstance()") {
+		t.Errorf("newInstance Source = %q", oc.Statements[1].Source())
 	}
 }
 
@@ -194,7 +195,40 @@ func TestSendBroadcastLowering(t *testing.T) {
 	if st.Action != "p.PING" {
 		t.Fatalf("action = %q", st.Action)
 	}
-	if !strings.Contains(st.Source, `sendBroadcast(new Intent("p.PING"))`) {
-		t.Fatalf("source = %q", st.Source)
+	if !strings.Contains(st.Source(), `sendBroadcast(new Intent("p.PING"))`) {
+		t.Fatalf("source = %q", st.Source())
+	}
+}
+
+// TestSourceOnDemand checks the rendered lines of the kinds whose text
+// depends on more than the typed fields (load-library keeps its library
+// name only in the instruction, StmtOther renders the instruction itself),
+// and that Class.Statements is the methods' statements in order.
+func TestSourceOnDemand(t *testing.T) {
+	p := lowerProgram(t)
+	oc := p.Class("com.ex.MainActivity").Method("onCreate")
+	for i, want := range map[int]string{
+		2: "FragmentManager fm = getSupportFragmentManager();",
+		6: "// sensitive: location/getProviders",
+		7: `System.loadLibrary("native-lib");`,
+	} {
+		if got := oc.Statements[i].Source(); got != want {
+			t.Errorf("stmt[%d].Source() = %q, want %q", i, got, want)
+		}
+	}
+	if got := p.Class("com.ex.HomeFragment").Method("onCreateView").Statements[0].Source(); got != "// nop" {
+		t.Errorf("nop Source() = %q", got)
+	}
+	if got := Lower(smali.Instr{Op: smali.OpLoadLibrary, Args: []string{"z"}}).Source(); got != `System.loadLibrary("z");` {
+		t.Errorf("Lower(load-library).Source() = %q", got)
+	}
+
+	mc := p.Class("com.ex.MainActivity")
+	var flat []Statement
+	for _, m := range mc.Methods {
+		flat = append(flat, m.Statements...)
+	}
+	if !reflect.DeepEqual(mc.Statements(), flat) {
+		t.Errorf("Statements() is not the methods' statements in order")
 	}
 }

@@ -175,6 +175,7 @@ type ctx struct {
 	ex    *statics.Extraction
 	app   *apk.App
 	prog  *smali.Program
+	names []string // prog.Names(), copied once
 	pkg   string
 	diags []Diagnostic
 
@@ -191,6 +192,7 @@ func newCtx(ex *statics.Extraction) *ctx {
 		ex:        ex,
 		app:       ex.App,
 		prog:      ex.App.Program,
+		names:     ex.App.Program.Names(),
 		pkg:       ex.App.Manifest.Package,
 		layoutsOf: make(map[string][]string),
 		fragSet:   make(map[string]bool),
@@ -202,7 +204,7 @@ func newCtx(ex *statics.Extraction) *ctx {
 	for _, a := range c.app.Manifest.ActivityNames() {
 		c.actSet[a] = true
 	}
-	for _, cn := range c.prog.Names() {
+	for _, cn := range c.names {
 		owner := outerComponent(cn)
 		cl := c.prog.Class(cn)
 		for _, m := range cl.Methods {
@@ -228,7 +230,7 @@ func (c *ctx) report(class, method string, line int, code string, sev Severity, 
 
 // eachMethod visits every method of every class in program order.
 func (c *ctx) eachMethod(fn func(class string, m *smali.Method)) {
-	for _, cn := range c.prog.Names() {
+	for _, cn := range c.names {
 		for _, m := range c.prog.Class(cn).Methods {
 			fn(cn, m)
 		}
@@ -242,17 +244,6 @@ func outerComponent(class string) string {
 		return class[:i]
 	}
 	return class
-}
-
-// resolves reports whether class (or its application superclass chain)
-// defines method — the runtime's virtual dispatch.
-func (c *ctx) resolves(class, method string) bool {
-	for _, cn := range append([]string{class}, c.prog.SuperChain(class)...) {
-		if cl := c.prog.Class(cn); cl != nil && cl.Method(method) != nil {
-			return true
-		}
-	}
-	return false
 }
 
 // ownLayouts returns the layouts a class inflates; hostsLayouts adds, for a
@@ -373,7 +364,7 @@ func (c *ctx) clickHandlers() {
 				continue
 			}
 			ref, handler := apk.NormalizeRef(ins.Args[0]), ins.Args[1]
-			if !c.resolves(owner, handler) {
+			if _, ok := c.prog.Resolve(owner, handler); !ok {
 				c.report(class, m.Name, ins.Line, "FL004", SeverityError,
 					"set-click-listener names %s.%s which does not exist; a click force-closes with NoSuchMethodException", owner, handler)
 			}
@@ -384,7 +375,7 @@ func (c *ctx) clickHandlers() {
 		}
 	})
 	// XML android:onClick binds to the class that inflates the layout.
-	for _, cn := range c.prog.Names() {
+	for _, cn := range c.names {
 		if !c.actSet[cn] && !c.fragSet[cn] {
 			continue
 		}
@@ -394,7 +385,10 @@ func (c *ctx) clickHandlers() {
 				continue
 			}
 			l.Walk(func(w *layout.Widget) bool {
-				if w.OnClick != "" && !c.resolves(cn, w.OnClick) {
+				if w.OnClick == "" {
+					return true
+				}
+				if _, ok := c.prog.Resolve(cn, w.OnClick); !ok {
 					c.report(cn, "", 0, "FL004", SeverityError,
 						"layout %s binds android:onClick=%q on %s, but %s has no such method; a click force-closes", ln, w.OnClick, w.IDRef, cn)
 				}

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"fragdroid/internal/apk"
+	"fragdroid/internal/artifact"
 	"fragdroid/internal/corpus"
 	"fragdroid/internal/lint"
 	"fragdroid/internal/statics"
@@ -188,6 +189,7 @@ func RunLintStudy(cfg StudyConfig) (*LintStudy, error) {
 		}
 		type slot struct {
 			spec   *corpus.AppSpec
+			key    string // artifact.Key(spec), hashed once per app
 			ex     *statics.Extraction
 			packed bool
 			diags  []lint.Diagnostic
@@ -200,7 +202,8 @@ func RunLintStudy(cfg StudyConfig) (*LintStudy, error) {
 			{limit: limits.Extract, fn: func(i int) bool {
 				sl := &slots[i%window]
 				*sl = slot{spec: src.At(i)}
-				ex, err := cache.Extraction(sl.spec)
+				sl.key = artifact.Key(sl.spec)
+				ex, err := cache.KeyedExtraction(sl.key, sl.spec)
 				if errors.Is(err, apk.ErrPacked) {
 					sl.packed = true
 					return false
@@ -224,7 +227,7 @@ func RunLintStudy(cfg StudyConfig) (*LintStudy, error) {
 			} else {
 				s.add(sl.packed, sl.diags)
 			}
-			cache.Evict(sl.spec)
+			cache.EvictKey(sl.key)
 			*sl = slot{}
 		})
 		if err := errors.Join(errs...); err != nil {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"fragdroid/internal/apk"
+	"fragdroid/internal/artifact"
 	"fragdroid/internal/corpus"
 )
 
@@ -120,6 +121,7 @@ func RunStudyStreamed(cfg StudyConfig) (*StudyResult, *StreamStats, error) {
 	// shared by two live items.
 	type slot struct {
 		spec      *corpus.AppSpec
+		key       string // artifact.Key(spec), hashed once per app
 		app       *apk.App
 		packed    bool
 		fragments bool
@@ -135,7 +137,8 @@ func RunStudyStreamed(cfg StudyConfig) (*StudyResult, *StreamStats, error) {
 		{limit: limits.Build, fn: func(i int) bool {
 			s := &slots[i%window]
 			*s = slot{spec: src.At(i)}
-			app, err := cache.App(s.spec)
+			s.key = artifact.Key(s.spec)
+			app, err := cache.KeyedApp(s.key, s.spec)
 			if errors.Is(err, apk.ErrPacked) {
 				s.packed = true
 				return false
@@ -162,7 +165,7 @@ func RunStudyStreamed(cfg StudyConfig) (*StudyResult, *StreamStats, error) {
 		// Release: drop the cache's entries and the slot's references. The
 		// app, its program and everything hanging off them are now
 		// unreachable; the persistent store (if any) keeps its copy.
-		cache.Evict(s.spec)
+		cache.EvictKey(s.key)
 		*s = slot{}
 	})
 	elapsed := time.Since(start)

@@ -2,8 +2,10 @@ package smali
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Well-known framework classes. Classes in the android.* / java.* namespaces
@@ -154,6 +156,28 @@ func (c *Class) Outer() string {
 type Program struct {
 	classes map[string]*Class
 	order   []string
+	// idx holds the facts derived from the whole class set; it is built on
+	// the first query that needs it (see index).
+	idx *index
+}
+
+// index is the per-program fact index: the results of the scans Algorithms
+// 1–3 repeat for every component (getInnerClass, getUsedClass and the
+// fragment-subclass scan of §IV-B2), each computed once over the whole
+// program. It is built lazily, so programs that are only decoded and
+// executed (the warm store path) never pay for it.
+type index struct {
+	once sync.Once
+	// built is set inside once; Add reads it to discard a stale index.
+	built bool
+	// family maps every class name, and every '$'-prefix of one, to the name
+	// followed by its inner classes in sorted order (ClassAndInner).
+	family map[string][]string
+	// used maps every class to the sorted, distinct class operands of its
+	// instructions (UsedClasses).
+	used map[string][]string
+	// fragments lists the fragment subclasses, sorted (FragmentClasses).
+	fragments []string
 }
 
 // NewProgram returns an empty program.
@@ -166,10 +190,14 @@ func NewProgramSized(hint int) *Program {
 	return &Program{
 		classes: make(map[string]*Class, hint),
 		order:   make([]string, 0, hint),
+		idx:     &index{},
 	}
 }
 
-// Add inserts a class. Duplicate class names are an error.
+// Add inserts a class. Duplicate class names are an error. Adding to a
+// program that has already answered an indexed query discards the index, so
+// the next query rebuilds it over the grown class set. Add must not run
+// concurrently with any other method.
 func (p *Program) Add(c *Class) error {
 	if c.Name == "" {
 		return fmt.Errorf("smali: class with empty name")
@@ -179,7 +207,75 @@ func (p *Program) Add(c *Class) error {
 	}
 	p.classes[c.Name] = c
 	p.order = append(p.order, c.Name)
+	if p.idx.built {
+		p.idx = &index{}
+	}
 	return nil
+}
+
+// index returns the fact index, building it on first use. Concurrent first
+// callers share one build.
+func (p *Program) index() *index {
+	x := p.idx
+	x.once.Do(func() {
+		x.family = p.buildFamilies()
+		x.used = p.buildUsed()
+		for _, name := range p.order {
+			if p.IsFragmentClass(name) {
+				x.fragments = append(x.fragments, name)
+			}
+		}
+		sort.Strings(x.fragments)
+		x.built = true
+	})
+	return x
+}
+
+// buildFamilies maps every class name, and every '$'-prefix of one, to the
+// name followed by its inner classes: InnerClasses(name) matches on the
+// "name$" prefix whether or not name is a class itself. Walking the names in
+// sorted order appends each family's inner classes already sorted.
+func (p *Program) buildFamilies() map[string][]string {
+	names := append([]string(nil), p.order...)
+	sort.Strings(names)
+	family := make(map[string][]string, len(names))
+	for _, n := range names {
+		family[n] = []string{n}
+		for i := 0; i < len(n); i++ {
+			if n[i] == '$' {
+				k := n[:i]
+				f, ok := family[k]
+				if !ok {
+					f = []string{k}
+				}
+				family[k] = append(f, n)
+			}
+		}
+	}
+	for k, f := range family {
+		family[k] = slices.Clip(f)
+	}
+	return family
+}
+
+// buildUsed collects every class's sorted, distinct type operands.
+func (p *Program) buildUsed() map[string][]string {
+	used := make(map[string][]string, len(p.order))
+	for _, name := range p.order {
+		var u []string
+		for _, m := range p.classes[name].Methods {
+			for _, ins := range m.Body {
+				for n, k := range opSpecs[ins.Op].kinds {
+					if k == argType && n < len(ins.Args) {
+						u = append(u, ins.Args[n])
+					}
+				}
+			}
+		}
+		sort.Strings(u)
+		used[name] = slices.Clip(slices.Compact(u))
+	}
+	return used
 }
 
 // Class returns the named class, or nil.
@@ -195,37 +291,45 @@ func (p *Program) Names() []string {
 // Len reports the number of classes.
 func (p *Program) Len() int { return len(p.classes) }
 
-// SuperChain returns the chain of superclass names starting at name's direct
-// superclass and ending at the last resolvable ancestor (framework classes
-// terminate the chain since they have no .smali file). This is the
-// getSuperChain of Algorithm 2. Cycles are broken defensively.
-func (p *Program) SuperChain(name string) []string {
-	var chain []string
-	seen := map[string]bool{name: true}
+// IsSubclassOf reports whether name transitively extends base (base itself is
+// not a subclass of base). It walks the superclass chain — the getSuperChain
+// of Algorithm 2 — without materializing it. The chain ends at the last
+// resolvable ancestor: a framework class, having no .smali file, ends it. On
+// a cyclic chain the walk stops on returning to name and is bounded by the
+// class count, and every ancestor it revisits was already compared with base.
+func (p *Program) IsSubclassOf(name, base string) bool {
 	cur := p.classes[name]
-	for cur != nil && cur.Super != "" {
-		if seen[cur.Super] {
-			break
+	for steps := 0; cur != nil && cur.Super != "" && cur.Super != name && steps <= len(p.order); steps++ {
+		if cur.Super == base {
+			return true
 		}
-		seen[cur.Super] = true
-		chain = append(chain, cur.Super)
 		if FrameworkClass(cur.Super) {
-			break
+			return false
 		}
 		cur = p.classes[cur.Super]
 	}
-	return chain
+	return false
 }
 
-// IsSubclassOf reports whether name transitively extends base (base itself is
-// not a subclass of base).
-func (p *Program) IsSubclassOf(name, base string) bool {
-	for _, s := range p.SuperChain(name) {
-		if s == base {
-			return true
+// Resolve finds the class that defines method, searching class and then its
+// superclass chain — the runtime's virtual dispatch. It walks the chain the
+// way IsSubclassOf does, without materializing it.
+func (p *Program) Resolve(class, method string) (string, bool) {
+	cur := p.classes[class]
+	if cur != nil && cur.Method(method) != nil {
+		return class, true
+	}
+	for steps := 0; cur != nil && cur.Super != "" && cur.Super != class && steps <= len(p.order); steps++ {
+		super := cur.Super
+		cur = p.classes[super]
+		if cur != nil && cur.Method(method) != nil {
+			return super, true
+		}
+		if FrameworkClass(super) {
+			return "", false
 		}
 	}
-	return false
+	return "", false
 }
 
 // IsFragmentClass reports whether name extends android.app.Fragment or
@@ -242,16 +346,10 @@ func (p *Program) IsActivityClass(name string) bool {
 
 // FragmentClasses returns all fragment subclasses, sorted. This implements
 // the two-pass scan of §IV-B2: direct subclasses first, then derived classes
-// of those subclasses (SuperChain already makes the scan transitive).
+// of those subclasses (IsSubclassOf already makes the scan transitive). The
+// slice is the program's cached answer and must not be modified.
 func (p *Program) FragmentClasses() []string {
-	var out []string
-	for name := range p.classes {
-		if p.IsFragmentClass(name) {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
+	return p.index().fragments
 }
 
 // ActivityClasses returns all activity subclasses, sorted.
@@ -268,51 +366,30 @@ func (p *Program) ActivityClasses() []string {
 
 // InnerClasses returns the classes declared inside name (dollar-sign naming
 // convention), sorted. Algorithm 2's getInnerClass includes the class itself;
-// callers that need that behaviour use ClassAndInner.
+// callers that need that behaviour use ClassAndInner. The slice is shared
+// and must not be modified.
 func (p *Program) InnerClasses(name string) []string {
-	prefix := name + "$"
-	var out []string
-	for n := range p.classes {
-		if strings.HasPrefix(n, prefix) {
-			out = append(out, n)
-		}
+	if fam := p.index().family[name]; len(fam) > 1 {
+		return fam[1:]
 	}
-	sort.Strings(out)
-	return out
+	return nil
 }
 
 // ClassAndInner returns name followed by its inner classes — the getInnerClass
-// set of Algorithm 2.
+// set of Algorithm 2. The slice is shared and must not be modified.
 func (p *Program) ClassAndInner(name string) []string {
-	return append([]string{name}, p.InnerClasses(name)...)
+	if fam, ok := p.index().family[name]; ok {
+		return fam
+	}
+	return []string{name}
 }
 
 // UsedClasses returns the set of class names referenced by the instructions
 // of the given class (Algorithm 2's getUsedClass), sorted. Only operands with
 // class shape count; framework names are included so callers can walk their
-// chains uniformly.
+// chains uniformly. The slice is shared and must not be modified.
 func (p *Program) UsedClasses(name string) []string {
-	c := p.classes[name]
-	if c == nil {
-		return nil
-	}
-	set := make(map[string]bool)
-	for _, m := range c.Methods {
-		for _, ins := range m.Body {
-			spec := opSpecs[ins.Op]
-			for n, k := range spec.kinds {
-				if k == argType && n < len(ins.Args) {
-					set[ins.Args[n]] = true
-				}
-			}
-		}
-	}
-	out := make([]string, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return p.index().used[name]
 }
 
 // Validate checks cross-class invariants: every non-framework superclass and
@@ -326,13 +403,37 @@ func (p *Program) Validate() error {
 		if !FrameworkClass(c.Super) && p.classes[c.Super] == nil {
 			return fmt.Errorf("smali: class %s extends unknown class %s", name, c.Super)
 		}
-		for _, u := range p.UsedClasses(name) {
-			if !FrameworkClass(u) && p.classes[u] == nil {
-				return fmt.Errorf("smali: class %s references unknown class %s", name, u)
-			}
+		if u, ok := p.firstUnknownUse(c); ok {
+			return fmt.Errorf("smali: class %s references unknown class %s", name, u)
 		}
 	}
 	return nil
+}
+
+// firstUnknownUse returns the smallest class operand of c that is neither a
+// framework class nor in the program — the first failure in UsedClasses
+// order — checking operands in place, so validating a program does not
+// build its index.
+func (p *Program) firstUnknownUse(c *Class) (string, bool) {
+	var first string
+	found := false
+	for _, m := range c.Methods {
+		for _, ins := range m.Body {
+			for n, k := range opSpecs[ins.Op].kinds {
+				if k != argType || n >= len(ins.Args) {
+					continue
+				}
+				u := ins.Args[n]
+				if FrameworkClass(u) || p.classes[u] != nil {
+					continue
+				}
+				if !found || u < first {
+					first, found = u, true
+				}
+			}
+		}
+	}
+	return first, found
 }
 
 // ToDescriptor converts a dotted class name to the Dalvik descriptor form

@@ -2,6 +2,7 @@ package smali
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -215,5 +216,30 @@ func TestFrameworkClass(t *testing.T) {
 	}
 	if FrameworkClass("com.example.Main") {
 		t.Error("app class flagged as framework")
+	}
+}
+
+// TestValidateReportsFirstUnknownUse checks that Validate names the same
+// unknown reference the UsedClasses scan would meet first (the smallest),
+// and that validating leaves the lazy index unbuilt.
+func TestValidateReportsFirstUnknownUse(t *testing.T) {
+	p := NewProgram()
+	err := p.Add(&Class{Name: "p.A", Super: ClassObject, Methods: []*Method{{
+		Name: "m",
+		Body: []Instr{
+			{Op: OpNewInstance, Args: []string{"p.Zed"}},
+			{Op: OpNewInstance, Args: []string{ClassIntent}},
+			{Op: OpNewIntent, Args: []string{"p.A", "p.Bee"}},
+		},
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = p.Validate()
+	if err == nil || !strings.Contains(err.Error(), "references unknown class p.Bee") {
+		t.Fatalf("Validate = %v, want the p.Bee reference reported", err)
+	}
+	if p.idx.built {
+		t.Error("Validate built the program index")
 	}
 }

@@ -353,19 +353,18 @@ func sensitiveSites(java *jdcore.Program, prog *smali.Program, activities, fragm
 	return out
 }
 
-// refsInClass collects normalized resource refs mentioned by a class's code.
-func refsInClass(c *smali.Class) map[string]bool {
-	out := make(map[string]bool)
+// addRefsInClass adds the normalized resource refs a class's code mentions
+// to refs.
+func addRefsInClass(refs map[string]bool, c *smali.Class) {
 	for _, m := range c.Methods {
 		for _, ins := range m.Body {
 			for _, a := range ins.Args {
 				if strings.HasPrefix(a, "@") {
-					out[apk.NormalizeRef(a)] = true
+					refs[apk.NormalizeRef(a)] = true
 				}
 			}
 		}
 	}
-	return out
 }
 
 // scanClasses fills UsesFragmentManager, SupportFM, LayoutsOf and Containers.
@@ -525,43 +524,38 @@ func effectiveFragments(app *apk.App, activities, fragments []string) []string {
 		fragSet[f] = true
 	}
 	eff := make(map[string]bool)
+	var work []string
+	mark := func(f string) {
+		if fragSet[f] && !eff[f] {
+			eff[f] = true
+			work = append(work, f)
+		}
+	}
+	// markReferenced marks the fragments owner (or an inner class) uses.
+	markReferenced := func(owner string) {
+		for _, cn := range prog.ClassAndInner(owner) {
+			for _, used := range prog.UsedClasses(cn) {
+				mark(used)
+			}
+		}
+	}
 
 	// Seed: fragments referenced from activities (incl. inner classes) or
 	// declared in a layout.
-	referencedBy := func(owner string) []string {
-		var out []string
-		for _, cn := range prog.ClassAndInner(owner) {
-			for _, used := range prog.UsedClasses(cn) {
-				if fragSet[used] {
-					out = append(out, used)
-				}
-			}
-		}
-		return out
-	}
 	for _, a := range activities {
-		for _, f := range referencedBy(a) {
-			eff[f] = true
-		}
+		markReferenced(a)
 	}
 	for _, l := range app.Layouts {
 		for _, sf := range l.StaticFragments() {
-			if fragSet[sf] {
-				eff[sf] = true
-			}
+			mark(sf)
 		}
 	}
-	// Fixpoint: fragments referenced from effective fragments.
-	for changed := true; changed; {
-		changed = false
-		for f := range eff {
-			for _, g := range referencedBy(f) {
-				if !eff[g] {
-					eff[g] = true
-					changed = true
-				}
-			}
-		}
+	// Fixpoint: fragments referenced from effective fragments. Each fragment
+	// is scanned once, when it becomes effective.
+	for len(work) > 0 {
+		f := work[len(work)-1]
+		work = work[:len(work)-1]
+		markReferenced(f)
 	}
 	out := make([]string, 0, len(eff))
 	for f := range eff {
@@ -729,9 +723,7 @@ func buildResourceDeps(app *apk.App, layoutsOf map[string][]string, activities [
 			if c == nil {
 				continue
 			}
-			for r := range refsInClass(c) {
-				refs[r] = true
-			}
+			addRefsInClass(refs, c)
 		}
 		codeRefs[owner] = refs
 	}
