@@ -629,28 +629,48 @@ func (m *Model) DOT(title string) string {
 	return b.String()
 }
 
-// Clone returns a deep copy of the model.
+// Clone returns a deep copy of the model. The copied edges live in one
+// arena and the adjacency lists are cut from one pointer slice, so a clone
+// costs a handful of allocations however many edges it has. Each list is cut
+// with cap == len: AddEdge's insert then reallocates the list rather than
+// writing into the next node's list in the shared slice.
 func (m *Model) Clone() *Model {
-	nm := New()
-	nm.entry, nm.hasEntry = m.entry, m.hasEntry
+	nm := &Model{
+		entry:    m.entry,
+		hasEntry: m.hasEntry,
+		nodes:    make(map[Node]bool, len(m.nodes)),
+		visited:  make(map[Node]bool, len(m.visited)),
+		edges:    make(map[edgeKey]*Edge, len(m.edges)),
+		outAdj:   make(map[Node][]*Edge, len(m.outAdj)),
+	}
 	for n := range m.nodes {
 		nm.nodes[n] = true
 	}
 	for n := range m.visited {
 		nm.visited[n] = true
 	}
-	for k, e := range m.edges {
-		cp := *e
-		nm.edges[k] = &cp
+	// Every edge sits in exactly one adjacency list (its From node's), so
+	// copying the lists copies each edge once; the arena is sized up front
+	// so its element addresses never move.
+	total := 0
+	for _, adj := range m.outAdj {
+		total += len(adj)
 	}
+	arena := make([]Edge, total)
+	ptrs := make([]*Edge, total)
+	i := 0
 	for n, adj := range m.outAdj {
-		nadj := make([]*Edge, len(adj))
-		for i, e := range adj {
-			// Point at the clone's own Edge so later Via upgrades on the
-			// clone stay confined to it; order carries over unchanged.
-			nadj[i] = nm.edges[edgeKey{kind: e.Kind, from: e.From, to: e.To}]
+		start := i
+		for _, e := range adj {
+			arena[i] = *e
+			cp := &arena[i]
+			// The clone's own Edge, so Via upgrades on the clone stay
+			// confined to it; order carries over unchanged.
+			ptrs[i] = cp
+			nm.edges[edgeKey{kind: cp.Kind, from: cp.From, to: cp.To}] = cp
+			i++
 		}
-		nm.outAdj[n] = nadj
+		nm.outAdj[n] = ptrs[start:i:i]
 	}
 	return nm
 }

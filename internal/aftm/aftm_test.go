@@ -1,6 +1,7 @@
 package aftm
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -282,6 +283,120 @@ func TestCloneIndependence(t *testing.T) {
 	}
 	if !reflect.DeepEqual(m.BFS(), buildModel(t).BFS()) {
 		t.Fatal("original mutated")
+	}
+}
+
+// modelView captures everything a reader can observe of a model's edges.
+type modelView struct {
+	Edges []Edge
+	From  map[Node][]Edge
+	BFS   []Node
+}
+
+func viewOf(m *Model) modelView {
+	v := modelView{Edges: m.Edges(), From: make(map[Node][]Edge), BFS: m.BFS()}
+	for _, n := range m.Nodes() {
+		v.From[n] = m.EdgesFrom(n)
+	}
+	return v
+}
+
+// TestCloneEdgeIndependence: a Via upgrade or a new edge on either side of a
+// Clone leaves the other side's Edges, EdgesFrom and BFS unchanged.
+func TestCloneEdgeIndependence(t *testing.T) {
+	mutate := func(m *Model) {
+		// Upgrade an existing edge's Via, insert into the middle of A0's
+		// adjacency ("A15" sorts between A1 and A2), append to its end and
+		// start a new list.
+		for _, e := range []struct {
+			from, to Node
+			via      string
+		}{
+			{ActivityNode("A0"), FragmentNode("F0"), ViaClick("@id/f0")},
+			{ActivityNode("A0"), ActivityNode("A15"), ViaIntent},
+			{ActivityNode("A0"), FragmentNode("F9"), ViaTransaction},
+			{ActivityNode("A1"), ActivityNode("A2"), ViaIntent},
+		} {
+			if _, err := m.AddEdge(e.from, e.to, e.via); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, cloneSide := range []bool{true, false} {
+		m := buildModel(t)
+		cl := m.Clone()
+		kept, changed := m, cl
+		if !cloneSide {
+			kept, changed = cl, m
+		}
+		want := viewOf(kept)
+		mutate(changed)
+		if got := viewOf(kept); !reflect.DeepEqual(got, want) {
+			t.Errorf("mutating the clone=%v side changed the other:\n got %+v\nwant %+v", cloneSide, got, want)
+		}
+		if e, _ := changed.EdgeBetween(ActivityNode("A0"), FragmentNode("F0")); e.Via != ViaClick("@id/f0") {
+			t.Errorf("Via upgrade lost on the mutated side: %v", e)
+		}
+	}
+}
+
+// wideModel is a model whose adjacency lists are all several edges long, so
+// a Clone's lists sit next to each other in its shared pointer slice.
+func wideModel(t *testing.T) *Model {
+	t.Helper()
+	m := New()
+	if err := m.SetEntry(ActivityNode("A0")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		from := ActivityNode(fmt.Sprintf("A%d", i))
+		for j := 1; j <= 3; j++ {
+			if _, err := m.AddEdge(from, ActivityNode(fmt.Sprintf("A%d", (i+j)%6)), ViaIntent); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.AddEdge(from, FragmentNode(fmt.Sprintf("F%d_%d", i, j)), ViaTransaction); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return m
+}
+
+// TestCloneAdjacencyInsertKeepsNeighbours: after Clone, inserting an edge at
+// the front, middle or end of one node's adjacency leaves every other
+// node's EdgesFrom unchanged — the lists are cut from one slice, and an
+// insert must never spill into a neighbour's list.
+func TestCloneAdjacencyInsertKeepsNeighbours(t *testing.T) {
+	m := wideModel(t)
+	for _, n := range m.Nodes() {
+		if len(m.EdgesFrom(n)) == 0 {
+			continue
+		}
+		// "A" sorts first, "A3x" mid-list, the fragment "Z" last.
+		for _, to := range []Node{ActivityNode("A"), ActivityNode("A3x"), FragmentNode("Z")} {
+			if to == n {
+				continue
+			}
+			cl := m.Clone()
+			want := viewOf(cl).From
+			if _, err := cl.AddEdge(n, to, ViaIntent); err != nil {
+				t.Fatal(err)
+			}
+			for other, edges := range want {
+				if other == n {
+					continue
+				}
+				if got := cl.EdgesFrom(other); !reflect.DeepEqual(got, edges) {
+					t.Errorf("insert %s -> %s changed %s's edges:\n got %v\nwant %v", n, to, other, got, edges)
+				}
+			}
+			if got := len(cl.EdgesFrom(n)); got != len(want[n])+1 {
+				t.Errorf("insert %s -> %s: %d edges, want %d", n, to, got, len(want[n])+1)
+			}
+			if !reflect.DeepEqual(viewOf(m), viewOf(wideModel(t))) {
+				t.Fatalf("insert %s -> %s on a clone changed the original", n, to)
+			}
+		}
 	}
 }
 

@@ -37,8 +37,9 @@ type UIDump struct {
 	// Widgets lists the widget tree in draw order (top-to-bottom,
 	// left-to-right — the click order of §VI-A Case 3).
 	Widgets []WidgetInfo
-	// FMFragments lists fragment classes currently committed through a
-	// FragmentManager — what instrumentation can confirm via reflection.
+	// FMFragments lists, sorted, the fragment classes currently committed
+	// through a FragmentManager — what instrumentation can confirm via
+	// reflection.
 	// Fragments loaded without a FragmentManager are NOT listed (the
 	// com.mobilemotion.dubsmash blind spot).
 	FMFragments []string

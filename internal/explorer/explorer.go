@@ -9,8 +9,8 @@ package explorer
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
+	"strconv"
 	"strings"
 
 	"fragdroid/internal/aftm"
@@ -204,6 +204,9 @@ type engine struct {
 
 	model  *aftm.Model
 	visits map[aftm.Node]Visit
+	// acts and frags count the visited activities and fragments, kept by
+	// visit so curve samples need no scan of visits.
+	acts, frags int
 
 	// hints maps input-widget refs to their hint text (for InputGen).
 	hints map[string]string
@@ -267,7 +270,7 @@ type workItem struct {
 type iface struct {
 	activity  string
 	fragments string // sorted, comma-joined
-	widgets   string // digest of visible clickable refs
+	widgets   uint64 // FNV-64a digest of visible clickable refs
 }
 
 func (i iface) String() string {
@@ -375,36 +378,66 @@ func (e *engine) Init(ctx *session.DriveContext) error {
 
 // coverage feeds the session's curve sampler with the cumulative visited
 // counts.
-func (e *engine) coverage() (acts, frags int) {
-	for n := range e.visits {
-		if n.Kind == aftm.KindActivity {
-			acts++
-		} else {
-			frags++
-		}
-	}
-	return acts, frags
-}
+func (e *engine) coverage() (acts, frags int) { return e.acts, e.frags }
 
-// identifyFragments maps a dump to the credited fragment classes: fragments
-// the FragmentManager confirms AND the resource dependency can identify from
-// visible widgets (fragments with no identifiable widgets are trusted from
-// the FragmentManager alone). Fragments loaded without a FragmentManager are
-// never credited — FragDroid "cannot determine whether the Fragment is a
-// real loading" (§VII-B2).
-func (e *engine) identifyFragments(dump device.UIDump) []string {
-	byRes := make(map[string]bool)
-	for _, f := range e.ex.ResDeps.IdentifyFragments(dump.VisibleRefs()) {
-		byRes[f] = true
-	}
+// CreditedFragments maps a dump to the credited fragment classes, sorted:
+// fragments the FragmentManager confirms AND the resource dependency can
+// identify from visible widgets (fragments with no identifiable widgets are
+// trusted from the FragmentManager alone). Fragments loaded without a
+// FragmentManager are never credited — FragDroid "cannot determine whether
+// the Fragment is a real loading" (§VII-B2). Every strategy that credits
+// fragments shares this rule.
+func CreditedFragments(ex *statics.Extraction, dump device.UIDump) []string {
 	var out []string
 	for _, f := range dump.FMFragments {
-		if byRes[f] || len(e.ex.ResDeps.ByOwner[f]) == 0 {
+		if len(ex.ResDeps.ByOwner[f]) == 0 || identifiedByWidget(ex, dump, f) {
 			out = append(out, f)
 		}
 	}
-	sort.Strings(out)
 	return out
+}
+
+// identifiedByWidget reports whether a visible widget of the dump belongs to
+// fragment f by the resource dependency. Dump refs are already normalized,
+// so they index ByWidget directly.
+func identifiedByWidget(ex *statics.Extraction, dump device.UIDump, f string) bool {
+	for _, w := range dump.Widgets {
+		if !w.Visible {
+			continue
+		}
+		for _, loc := range ex.ResDeps.ByWidget[w.Ref] {
+			if loc.OwnerKind == statics.OwnerFragment && loc.Owner == f {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// FNV-64a parameters for the clickable-control digest.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// ifaceOf identifies the UI state a dump shows.
+func (e *engine) ifaceOf(dump device.UIDump) iface {
+	h := uint64(fnvOffset64)
+	for _, w := range dump.Widgets {
+		if !w.Visible || !w.Clickable {
+			continue
+		}
+		for i := 0; i < len(w.Ref); i++ {
+			h ^= uint64(w.Ref[i])
+			h *= fnvPrime64
+		}
+		h *= fnvPrime64 // the 0 separator byte: XOR with 0 is a no-op
+	}
+	return iface{
+		activity:  dump.Activity,
+		fragments: strings.Join(CreditedFragments(e.ex, dump), ","),
+		widgets:   h,
+	}
 }
 
 func (e *engine) observe(d *device.Device) (iface, device.UIDump, error) {
@@ -412,17 +445,7 @@ func (e *engine) observe(d *device.Device) (iface, device.UIDump, error) {
 	if err != nil {
 		return iface{}, dump, err
 	}
-	frags := e.identifyFragments(dump)
-	h := fnv.New64a()
-	for _, ref := range dump.ClickableRefs() {
-		_, _ = h.Write([]byte(ref))
-		_, _ = h.Write([]byte{0})
-	}
-	return iface{
-		activity:  dump.Activity,
-		fragments: strings.Join(frags, ","),
-		widgets:   fmt.Sprintf("%x", h.Sum64()),
-	}, dump, nil
+	return e.ifaceOf(dump), dump, nil
 }
 
 // visit marks a node visited (Case 1/2 bookkeeping), recording the first
@@ -433,9 +456,15 @@ func (e *engine) visit(n aftm.Node, method ReachMethod, route robotium.Script) b
 		return false
 	}
 	e.visits[n] = Visit{Node: n, Method: method, Route: route}
-	e.s.Trace(session.Event{Kind: session.KindVisit, Node: n.String(),
+	if n.Kind == aftm.KindActivity {
+		e.acts++
+	} else {
+		e.frags++
+	}
+	node := n.String()
+	e.s.Trace(session.Event{Kind: session.KindVisit, Node: node,
 		Method: string(method), Script: route.Name, Ops: len(route.Ops),
-		Msg: fmt.Sprintf("visited %s via %s (%d ops)", n, method, len(route.Ops))})
+		Msg: "visited " + node + " via " + string(method) + " (" + strconv.Itoa(len(route.Ops)) + " ops)"})
 	return true
 }
 
@@ -573,25 +602,26 @@ func (e *engine) Finish(out *session.Outcome) error {
 }
 
 // replayTo re-provisions a device and replays a route, verifying arrival.
-func (e *engine) replayTo(item workItem) (*device.Device, bool) {
+// It returns the arrival dump, which shows exactly item.target.
+func (e *engine) replayTo(item workItem) (*device.Device, device.UIDump, bool) {
 	d, res, ok := e.s.RunScript(item.route, session.PurposeReplay)
 	if !ok {
-		return nil, false
+		return nil, device.UIDump{}, false
 	}
 	if res.Err != nil {
 		e.s.Notef("replay to %s failed at %q: %v", item.target, res.FailedOp, res.Err)
-		return nil, false
+		return nil, device.UIDump{}, false
 	}
-	st, _, err := e.observe(d)
+	st, dump, err := e.observe(d)
 	if err != nil {
 		e.s.Notef("replay to %s: observe failed: %v", item.target, err)
-		return nil, false
+		return nil, device.UIDump{}, false
 	}
 	if st != item.target {
 		e.s.Notef("replay diverged: wanted %s, got %s", item.target, st)
-		return nil, false
+		return nil, device.UIDump{}, false
 	}
-	return d, true
+	return d, dump, true
 }
 
 // inputValue resolves the value for an input widget: the analyst input file
@@ -617,19 +647,22 @@ func (e *engine) inputValue(ref string) string {
 // for the activity's unvisited dependent fragments.
 func (e *engine) exploreInterface(item workItem) {
 	memo := e.cfg.Snapshots
-	d, ok := e.replayTo(item)
+	d, dump, ok := e.replayTo(item)
 	if !ok {
 		return
 	}
-	dump, err := d.Dump()
-	if err != nil {
-		return
-	}
+	// While observed is set, cur and preDump are the observation of d's
+	// current state. Dump is a pure function of the device state, and only a
+	// replay, a click or a dismissal changes that state, so the observation
+	// is reused until one of them happens: no state is dumped twice.
+	cur := item.target
 	if dump.HasDialog {
 		if err := d.DismissDialog(); err == nil {
 			dump, _ = d.Dump()
+			cur = e.ifaceOf(dump)
 		}
 	}
+	preDump, observed := dump, true
 	clickables := dump.ClickableRefs()
 	e.s.Notef("interface %s: %d clickable widgets", item.target, len(clickables))
 
@@ -643,16 +676,22 @@ func (e *engine) exploreInterface(item workItem) {
 	pristine := true
 	for _, ref := range clickables {
 		if fresh {
-			var ok bool
-			d, ok = e.replayTo(item)
+			d, preDump, ok = e.replayTo(item)
 			if !ok {
 				return
 			}
+			cur, observed = item.target, true
 			fresh = false
 			pristine = true
 		}
-		cur, preDump, err := e.observe(d)
-		if err != nil || cur != item.target {
+		if !observed {
+			var err error
+			if cur, preDump, err = e.observe(d); err != nil {
+				return
+			}
+		}
+		observed = false
+		if cur != item.target {
 			return
 		}
 		// Compute the fill operations once and apply exactly those, so the
@@ -669,64 +708,66 @@ func (e *engine) exploreInterface(item workItem) {
 		probeOps = append(probeOps, robotium.Click(ref))
 		storable := memo != nil && pristine && !preDump.HasDialog
 
+		// Fast path: the probe's outcome is already memoized (a warming
+		// device or a previous process executed it). Fast-forward the device
+		// — a memoized entry implies the fills and the click all succeeded
+		// without crashing, so only the success events are due.
+		advanced := false
 		if storable {
-			// Fast path: the probe's outcome is already memoized (a warming
-			// device or a previous process executed it). Fast-forward the
-			// device — a memoized entry implies the fills and the click all
-			// succeeded without crashing, so only the success events are due.
 			if snap, n, _ := memo.LongestPrefix(e.app, true, probeOps); snap != nil && n == len(probeOps) && d.Advance(snap) == nil {
 				for _, op := range fillOps {
 					e.s.Trace(session.Event{Kind: session.KindInputFill, Ref: op.Ref, Value: op.Value})
 				}
 				e.s.AddSnapshot(1, 1, 0)
-				pristine = false
-				after, _, err := e.observe(d)
-				if err != nil {
-					fresh = true
-					continue
+				advanced = true
+			}
+		}
+		if !advanced {
+			filled := true
+			for _, op := range fillOps {
+				ev := session.Event{Kind: session.KindInputFill, Ref: op.Ref, Value: op.Value}
+				if err := d.EnterText(op.Ref, op.Value); err != nil {
+					filled = false
+					ev.Err = err.Error()
+					ev.Msg = fmt.Sprintf("fill %s: %v", op.Ref, err)
 				}
-				e.afterClick(item, ref, ownerFrag, fillOps, d, after, &fresh)
+				e.s.Trace(ev)
+			}
+			// A dialog raised between the fills and the click would be
+			// auto-dismissed by script execution but intercepts a direct
+			// click — the states diverge, so such a probe must not be
+			// memoized.
+			storable = storable && filled && !d.HasDialog()
+			if err := d.Click(ref); err != nil {
+				e.s.Notef("click %s: %v", ref, err)
+				pristine = false
 				continue
 			}
-		}
-		filled := true
-		for _, op := range fillOps {
-			ev := session.Event{Kind: session.KindInputFill, Ref: op.Ref, Value: op.Value}
-			if err := d.EnterText(op.Ref, op.Value); err != nil {
-				filled = false
-				ev.Err = err.Error()
-				ev.Msg = fmt.Sprintf("fill %s: %v", op.Ref, err)
+			if d.Crashed() {
+				// Case 3: the app crashed — restart and continue clicking.
+				e.s.Notef("click %s crashed the app: %s", ref, d.CrashReason())
+				e.s.MarkCrash(d.CrashReason(),
+					item.route.Append("crash_"+ref, append(fillOps, robotium.Click(ref))...))
+				fresh = true
+				pristine = false
+				continue
 			}
-			e.s.Trace(ev)
-		}
-		// A dialog raised between the fills and the click would be
-		// auto-dismissed by script execution but intercepts a direct click —
-		// the states diverge, so such a probe must not be memoized.
-		storable = storable && filled && !d.HasDialog()
-		if err := d.Click(ref); err != nil {
-			e.s.Notef("click %s: %v", ref, err)
-			pristine = false
-			continue
-		}
-		if d.Crashed() {
-			// Case 3: the app crashed — restart and continue clicking.
-			e.s.Notef("click %s crashed the app: %s", ref, d.CrashReason())
-			e.s.MarkCrash(d.CrashReason(),
-				item.route.Append("crash_"+ref, append(fillOps, robotium.Click(ref))...))
-			fresh = true
-			pristine = false
-			continue
-		}
-		if storable {
-			e.s.AddEvictions(memo.Store(e.app, true, probeOps, d))
+			if storable {
+				e.s.AddEvictions(memo.Store(e.app, true, probeOps, d))
+			}
 		}
 		pristine = false
-		after, _, err := e.observe(d)
+		after, afterDump, err := e.observe(d)
 		if err != nil {
 			fresh = true
 			continue
 		}
 		e.afterClick(item, ref, ownerFrag, fillOps, d, after, &fresh)
+		if after == item.target {
+			// The click left the interface unchanged: its observation is
+			// the next iteration's.
+			cur, preDump, observed = after, afterDump, true
+		}
 	}
 
 	e.reflectionItems(item)

@@ -7,6 +7,8 @@ import (
 	"fragdroid/internal/aftm"
 	"fragdroid/internal/apk"
 	"fragdroid/internal/corpus"
+	"fragdroid/internal/device"
+	"fragdroid/internal/statics"
 )
 
 const pkg = "com.demo.app."
@@ -219,4 +221,43 @@ func runRoute(t *testing.T, h *deviceHandle, v Visit) error {
 		return rr
 	}
 	return verifyNodeOnScreen(d, h.res, v.Node)
+}
+
+// TestCreditedFragments pins the §VII-B2 crediting rule every strategy
+// shares: a FragmentManager-confirmed fragment is credited when a visible
+// widget identifies it, or when it owns no identifiable widget at all; a
+// fragment whose widgets are all hidden, or that the FragmentManager does
+// not confirm, is not.
+func TestCreditedFragments(t *testing.T) {
+	ex, err := statics.Extract(demoApp(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	home, widgetless := pkg+"Home", pkg+"NoWidgets"
+	homeRef := corpus.SwitchButtonRef("Home", "Recent")
+	if len(ex.ResDeps.ByOwner[home]) == 0 || len(ex.ResDeps.ByOwner[widgetless]) != 0 {
+		t.Fatalf("fixture: Home owns %v, NoWidgets owns %v", ex.ResDeps.ByOwner[home], ex.ResDeps.ByOwner[widgetless])
+	}
+	cases := []struct {
+		name    string
+		fm      []string
+		visible bool
+		want    []string
+	}{
+		{"identified by a visible widget", []string{home}, true, []string{home}},
+		{"its widgets all hidden", []string{home}, false, nil},
+		{"owns no widget", []string{widgetless}, false, []string{widgetless}},
+		{"both, sorted", []string{home, widgetless}, true, []string{home, widgetless}},
+		{"not confirmed by the FragmentManager", nil, true, nil},
+	}
+	for _, c := range cases {
+		dump := device.UIDump{
+			Activity:    pkg + "Main",
+			Widgets:     []device.WidgetInfo{{Ref: homeRef, Visible: c.visible, Clickable: true, FromFragment: home}},
+			FMFragments: c.fm,
+		}
+		if got := CreditedFragments(ex, dump); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: credited %v, want %v", c.name, got, c.want)
+		}
+	}
 }

@@ -18,7 +18,7 @@ func memoTestSpecs() []*corpus.AppSpec {
 	return []*corpus.AppSpec{corpus.DemoSpec(), corpus.PaperSpec(rows[0]), corpus.PaperSpec(rows[1])}
 }
 
-func extractSpec(t *testing.T, spec *corpus.AppSpec) *statics.Extraction {
+func extractSpec(t testing.TB, spec *corpus.AppSpec) *statics.Extraction {
 	t.Helper()
 	app, err := corpus.BuildApp(spec)
 	if err != nil {
@@ -163,6 +163,92 @@ func TestConcurrentPlanningSharedExtraction(t *testing.T) {
 		}
 		if w%2 == 1 && !reflect.DeepEqual(gotRuns[w], wantRuns) {
 			t.Errorf("worker %d: concurrent directed runs differ from sequential", w)
+		}
+	}
+}
+
+// sensitiveAPIs lists every API with a static site in the extraction,
+// sorted.
+func sensitiveAPIs(ex *statics.Extraction) []string {
+	apis := make([]string, 0, len(ex.SensitiveSites))
+	for api := range ex.SensitiveSites {
+		apis = append(apis, api)
+	}
+	sort.Strings(apis)
+	return apis
+}
+
+// TestPlanForAPIMemoMatchesFresh: on every built-in app, the memoised
+// PlanForAPI deep-equals a fresh computation for every API, and a second
+// call returns the memoised plans rather than recomputing them.
+func TestPlanForAPIMemoMatchesFresh(t *testing.T) {
+	for _, spec := range builtinSpecs() {
+		ex := extractSpec(t, spec)
+		for _, api := range sensitiveAPIs(ex) {
+			got := PlanForAPI(ex, api)
+			if want := planForAPI(ex, api); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s %s: memoised plans differ from a fresh computation:\n got %+v\nwant %+v", spec.Package, api, got, want)
+			}
+			if again := PlanForAPI(ex, api); len(again) > 0 && &again[0] != &got[0] {
+				t.Errorf("%s %s: second PlanForAPI recomputed the plans", spec.Package, api)
+			}
+		}
+	}
+}
+
+// TestPlanForAPIConcurrentFirstCalls races the first PlanForAPI calls on one
+// cold extraction (run it under -race): every caller must get plans equal to
+// the sequential ones on a separate extraction.
+func TestPlanForAPIConcurrentFirstCalls(t *testing.T) {
+	spec := memoTestSpecs()[1]
+	ref := extractSpec(t, spec)
+	apis := sensitiveAPIs(ref)
+	want := make([][]TargetPlan, len(apis))
+	for i, api := range apis {
+		want[i] = planForAPI(ref, api)
+	}
+	shared := extractSpec(t, spec)
+	const workers = 4
+	got := make([][][]TargetPlan, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for _, api := range apis {
+				got[w] = append(got[w], PlanForAPI(shared, api))
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := range got {
+		if !reflect.DeepEqual(got[w], want) {
+			t.Errorf("worker %d: concurrent PlanForAPI results differ from sequential", w)
+		}
+	}
+}
+
+var benchTargetSink *TargetResult
+
+// BenchmarkExploreTargets runs one targeted study app's every static API
+// through both targeted modes per iteration, the unit of work the directed
+// study repeats per seed. Run with -benchmem to track allocs/op.
+func BenchmarkExploreTargets(b *testing.B) {
+	spec := memoTestSpecs()[1]
+	ex := extractSpec(b, spec)
+	apis := targetAPIs(ex)
+	cfg := DefaultConfig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, api := range apis {
+			for _, run := range []func(*statics.Extraction, Config, string) (*TargetResult, error){ExploreTarget, ExploreTargetDirected} {
+				tr, err := run(ex, cfg, api)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchTargetSink = tr
+			}
 		}
 	}
 }

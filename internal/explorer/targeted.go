@@ -25,8 +25,17 @@ type TargetPlan struct {
 }
 
 // PlanForAPI lists the static sites of the API with their AFTM paths, sorted
-// by site node.
+// by site node. The plans are a function of the extraction alone, so they are
+// computed once per (extraction, API) and shared: callers must treat the
+// returned slice, and every Path in it, as read-only.
 func PlanForAPI(ex *statics.Extraction, api string) []TargetPlan {
+	return ex.Derived(targetPlanKey{api}, func() any { return planForAPI(ex, api) }).([]TargetPlan)
+}
+
+// targetPlanKey is the extraction-memo key of one API's target plans.
+type targetPlanKey struct{ api string }
+
+func planForAPI(ex *statics.Extraction, api string) []TargetPlan {
 	var plans []TargetPlan
 	for _, cls := range ex.SensitiveSites[api] {
 		var node aftm.Node

@@ -1,6 +1,9 @@
 package report
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 
@@ -139,5 +142,35 @@ func TestDirectedStudyEconomy(t *testing.T) {
 	b := BuildDirectedBench(s, evaluation(t).BuildGapClassification())
 	if b.GapStatic != 313 || b.GapConfirmed != 269 {
 		t.Errorf("bench gap totals = %d/%d, want 313/269", b.GapStatic, b.GapConfirmed)
+	}
+}
+
+// TestDirectedBenchMatchesCheckedIn pins the directed study per target: the
+// bench summary for seeds 1–3, marshalled as `fragstudy -directed
+// -directedjson` writes it, must equal the checked-in BENCH_PR8.json byte for
+// byte — every target's step means, reached flags and skip marks, not only
+// the headline totals.
+func TestDirectedBenchMatchesCheckedIn(t *testing.T) {
+	s, err := RunDirectedStudy(DefaultEvalConfig(), []int64{1, 2, 3})
+	if err != nil {
+		t.Fatalf("RunDirectedStudy: %v", err)
+	}
+	got, err := json.MarshalIndent(BuildDirectedBench(s, evaluation(t).BuildGapClassification()), "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, '\n')
+	want, err := os.ReadFile("../../BENCH_PR8.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("bench differs from BENCH_PR8.json at line %d:\n got %s\nwant %s", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("bench has %d lines, BENCH_PR8.json %d", len(gl), len(wl))
 	}
 }

@@ -87,17 +87,22 @@ func (u Usage) Mark() Mark {
 // Collector accumulates sensitive events for one app run. Plug Observe into
 // device.Options.Monitor.
 type Collector struct {
-	app     string
-	byAPI   map[string]*Usage
-	classes map[string]map[string]bool
+	app   string
+	byAPI map[string]*apiRecord
+}
+
+// apiRecord is one API's aggregate: the usage counters and the set of
+// invoking classes Usages sorts into Usage.Classes.
+type apiRecord struct {
+	usage   Usage
+	classes map[string]bool
 }
 
 // NewCollector returns a collector for the given app package.
 func NewCollector(appPkg string) *Collector {
 	return &Collector{
-		app:     appPkg,
-		byAPI:   make(map[string]*Usage),
-		classes: make(map[string]map[string]bool),
+		app:   appPkg,
+		byAPI: make(map[string]*apiRecord),
 	}
 }
 
@@ -106,19 +111,20 @@ func (c *Collector) App() string { return c.app }
 
 // Observe records one sensitive event.
 func (c *Collector) Observe(e Event) {
-	u := c.byAPI[e.API]
-	if u == nil {
-		u = &Usage{API: e.API}
-		c.byAPI[e.API] = u
-		c.classes[e.API] = make(map[string]bool)
+	r := c.byAPI[e.API]
+	if r == nil {
+		r = &apiRecord{usage: Usage{API: e.API}, classes: make(map[string]bool)}
+		c.byAPI[e.API] = r
 	}
-	u.Count++
+	r.usage.Count++
 	if e.InFragment {
-		u.ByFragment = true
+		r.usage.ByFragment = true
 	} else {
-		u.ByActivity = true
+		r.usage.ByActivity = true
 	}
-	c.classes[e.API][e.Class] = true
+	if !r.classes[e.Class] {
+		r.classes[e.Class] = true
+	}
 }
 
 // Has reports whether the API has been observed at least once.
@@ -136,8 +142,9 @@ func (c *Collector) Usages() []Usage {
 	SortAPIs(apis)
 	out := make([]Usage, 0, len(apis))
 	for _, api := range apis {
-		u := *c.byAPI[api]
-		for cls := range c.classes[api] {
+		r := c.byAPI[api]
+		u := r.usage
+		for cls := range r.classes {
 			u.Classes = append(u.Classes, cls)
 		}
 		sort.Strings(u.Classes)

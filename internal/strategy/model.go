@@ -6,6 +6,7 @@ import (
 
 	"fragdroid/internal/aftm"
 	"fragdroid/internal/device"
+	"fragdroid/internal/explorer"
 	"fragdroid/internal/robotium"
 	"fragdroid/internal/session"
 	"fragdroid/internal/statics"
@@ -229,7 +230,7 @@ func (m *ModelGuided) Observe(tc session.TestCase, d *device.Device, res robotiu
 			Script: tc.Script.Name, Ops: len(tc.Script.Ops),
 			Msg: fmt.Sprintf("model reached %s (%d ops)", cur, len(tc.Script.Ops))})
 	}
-	for _, f := range identifyFragments(m.ex, dump) {
+	for _, f := range explorer.CreditedFragments(m.ex, dump) {
 		if m.visitedFrags[f] {
 			continue
 		}

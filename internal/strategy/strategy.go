@@ -25,11 +25,9 @@ package strategy
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"fragdroid/internal/baseline"
-	"fragdroid/internal/device"
 	"fragdroid/internal/explorer"
 	"fragdroid/internal/session"
 	"fragdroid/internal/statics"
@@ -200,24 +198,4 @@ func EffectiveSet(ex *statics.Extraction) map[string]bool {
 		set[a] = true
 	}
 	return set
-}
-
-// identifyFragments maps a UI dump to the credited fragment classes, the
-// explorer's crediting rule (§VII-B2): fragments the FragmentManager
-// confirms AND the resource dependency can identify from visible widgets
-// (fragments with no identifiable widgets are trusted from the
-// FragmentManager alone).
-func identifyFragments(ex *statics.Extraction, dump device.UIDump) []string {
-	byRes := make(map[string]bool)
-	for _, f := range ex.ResDeps.IdentifyFragments(dump.VisibleRefs()) {
-		byRes[f] = true
-	}
-	var out []string
-	for _, f := range dump.FMFragments {
-		if byRes[f] || len(ex.ResDeps.ByOwner[f]) == 0 {
-			out = append(out, f)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

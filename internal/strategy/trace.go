@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"fragdroid/internal/device"
+	"fragdroid/internal/explorer"
 	"fragdroid/internal/recorder"
 	"fragdroid/internal/robotium"
 	"fragdroid/internal/session"
@@ -270,7 +271,7 @@ func (t *TraceReuse) Observe(tc session.TestCase, d *device.Device, res robotium
 			Script: tc.Script.Name, Ops: len(tc.Script.Ops),
 			Msg: fmt.Sprintf("trace reached %s (%d ops)", cur, len(tc.Script.Ops))})
 	}
-	for _, f := range identifyFragments(t.ex, dump) {
+	for _, f := range explorer.CreditedFragments(t.ex, dump) {
 		if t.visitedFrags[f] {
 			continue
 		}
