@@ -6,7 +6,7 @@
 //
 //	fragstudy                   # the 217-app fragment-usage study
 //	fragstudy -parallel 8       # same study, 8 apps analyzed concurrently
-//	fragstudy -corpus family -n 10000 -stream  # corpus-scale streamed study
+//	fragstudy -corpus family -n 10000          # corpus-scale study
 //	fragstudy -stream -streamjson s.json       # + throughput/peak-heap record
 //	fragstudy -table1           # the Table I coverage run (15 apps)
 //	fragstudy -table2           # the Table II sensitive-operations matrix
@@ -29,13 +29,14 @@
 //
 // -corpus selects the dataset corpus behind the default study and -lint:
 // "study" is the paper's 217-app dataset, "family" a generated app family of
-// -n members (deterministic in -seed). -stream switches either mode to the
-// bounded-memory streaming pipeline: at most -window apps are in flight (0
-// picks a window from the stage limits), each folds into the aggregate in
-// dataset order and is released immediately, so peak heap is O(window), not
-// O(corpus) — with results bit-identical to the positional run. -streamjson
-// also writes the throughput record (apps/sec, peak heap, host CPUs) in the
-// bench-json schema scripts/bench_diff.py understands.
+// -n members (deterministic in -seed). Every mode runs its corpus through one
+// bounded-memory scheduler: at most 2×-parallel apps (at least 4) are in
+// flight, each folds into the aggregate in dataset order and is released
+// immediately, so peak heap is O(window), not O(corpus). -stream adds a
+// `streamed:` line to the study with throughput, window and sampled peak
+// heap; -streamjson also writes that record (apps/sec, peak heap, host CPUs)
+// in the bench-json schema scripts/bench_diff.py understands. -stream does
+// not change any other output.
 //
 // -parallel applies to every mode (it must be at least 1) and defaults to
 // the machine's CPU count; results are deterministic and identical to a
@@ -76,8 +77,7 @@ func run(args []string) error {
 		parallel   = fs.Int("parallel", runtime.NumCPU(), "number of apps analyzed concurrently")
 		corpusSel  = fs.String("corpus", "study", "dataset corpus for the default study and -lint: study (217 apps) or family (generated, -n apps)")
 		famN       = fs.Int("n", 10000, "family corpus size (with -corpus family)")
-		stream     = fs.Bool("stream", false, "run the study/-lint as a streaming bounded-memory pipeline")
-		window     = fs.Int("window", 0, "with -stream: in-flight app window (0 = derive from the stage limits)")
+		stream     = fs.Bool("stream", false, "also print the study's throughput, window and sampled peak heap")
 		streamJSON = fs.String("streamjson", "", "with -stream: write the throughput/peak-heap record as bench-json to this file")
 		table1     = fs.Bool("table1", false, "run the Table I coverage evaluation")
 		table2     = fs.Bool("table2", false, "run the Table II sensitive-operations evaluation")
@@ -117,10 +117,7 @@ func run(args []string) error {
 	}
 	// The study configuration shared by the default study and -lint; -corpus
 	// family swaps the 217-app dataset for a lazy generated source.
-	scfg := report.StudyConfig{
-		Seed: *seed, Parallel: *parallel, Cache: cache,
-		Stream: *stream, Window: *window,
-	}
+	scfg := report.StudyConfig{Seed: *seed, Parallel: *parallel, Cache: cache}
 	switch *corpusSel {
 	case "study":
 	case "family":

@@ -77,14 +77,14 @@ func TestRunStrategySelection(t *testing.T) {
 	}
 }
 
-// TestRunStreamedStudy drives the streaming surface end to end: a streamed
-// family study writes a bench-json throughput record whose shape and numbers
-// scripts/bench_diff.py can consume, and a streamed run of the default
-// 217-app corpus also succeeds.
+// TestRunStreamedStudy drives the -stream surface end to end: a family study
+// writes a bench-json throughput record whose shape and numbers
+// scripts/bench_diff.py can consume, with the window derived from -parallel
+// (2×3), and a -stream run of the default 217-app corpus also succeeds.
 func TestRunStreamedStudy(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "stream.json")
 	err := run([]string{"-corpus", "family", "-n", "40", "-stream",
-		"-window", "5", "-cache", "off", "-streamjson", path})
+		"-parallel", "3", "-cache", "off", "-streamjson", path})
 	if err != nil {
 		t.Fatalf("run streamed family study: %v", err)
 	}
@@ -111,7 +111,7 @@ func TestRunStreamedStudy(t *testing.T) {
 		t.Fatalf("bench record shape off: %s", data)
 	}
 	b := record.Benchmarks[0]
-	if b.Iterations != 40 || b.NsPerOp <= 0 || b.Window != 5 || b.MaxLive < 1 || b.MaxLive > 5 {
+	if b.Iterations != 40 || b.NsPerOp <= 0 || b.Window != 6 || b.MaxLive < 1 || b.MaxLive > 6 {
 		t.Errorf("bench row off: %+v", b)
 	}
 	if record.HostCPUs < 1 || record.AppsPerSec <= 0 || record.PeakHeap == 0 {

@@ -257,10 +257,15 @@ func ViaClick(widgetRef string) string { return "click:" + widgetRef }
 //	F → A_o      treated as host(F) → A_o, i.e. E1
 //	F → F_o      treated as host(F) → F_o, i.e. E2 (into the other Activity)
 //	A → F_o      split into A → host(F_o) (E1) and host(F_o) → F_o (E2)
+//	X → X        dropped (an activity restarting itself, a fragment
+//	             replacing itself: legal Android, no transition)
 //
 // host maps a Fragment to its hosting Activity and otherHost maps an external
 // Fragment to the Activity that owns it. It reports how many edges were new.
 func (m *Model) MergeEdge(from, to Node, via string, host func(frag string) (string, bool)) (int, error) {
+	if from == to {
+		return 0, nil
+	}
 	added := 0
 	add := func(f, t Node, v string) error {
 		isNew, err := m.AddEdge(f, t, v)

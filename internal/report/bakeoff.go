@@ -144,18 +144,15 @@ func RunBakeoff(cfg BakeoffConfig) (*Bakeoff, error) {
 	rows := corpus.PaperRows()
 	exs := make([]*statics.Extraction, len(rows))
 	errs := make([]error, len(rows))
-	limits := StageLimits{}.withDefault(cfg.Parallel)
-	runStaged(len(rows), []stage{
-		{limit: limits.Extract, fn: func(i int) bool {
-			ex, err := cfg.Cache.Extraction(corpus.PaperSpec(rows[i]))
-			if err != nil {
-				errs[i] = fmt.Errorf("report: extract %s: %w", rows[i].Package, err)
-				return false
+	runStreamed(len(rows), cfg.Parallel, []func(int) bool{
+		func(i int) bool {
+			exs[i], errs[i] = cfg.Cache.Extraction(corpus.PaperSpec(rows[i]))
+			if errs[i] != nil {
+				errs[i] = fmt.Errorf("report: extract %s: %w", rows[i].Package, errs[i])
 			}
-			exs[i] = ex
 			return true
-		}},
-	})
+		},
+	}, func(int) {})
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
@@ -195,36 +192,32 @@ func runBakeoffRow(name string, cfg BakeoffConfig, rows []corpus.PaperRow, exs [
 	seedMeans := make([][]float64, cfg.Seeds)
 	var fragPctSum float64
 	var baseAPIs, baseCases int
-	limits := StageLimits{}.withDefault(cfg.Parallel)
 	for k := 0; k < cfg.Seeds; k++ {
 		outs := make([]*session.Outcome, len(rows))
 		errs := make([]error, len(rows))
-		runStaged(len(rows), []stage{
-			{limit: limits.Run, fn: func(i int) bool {
-				out, err := strategy.Run(name, exs[i], strategy.Options{
+		means := make([]float64, len(cfg.Grid))
+		var collectors []*sensitive.Collector
+		var stats session.Stats
+		runStreamed(len(rows), cfg.Parallel, []func(int) bool{
+			func(i int) bool {
+				outs[i], errs[i] = strategy.Run(name, exs[i], strategy.Options{
 					Budget:  cfg.Budget,
 					Seed:    cfg.BaseSeed + int64(k),
 					Inputs:  cfg.Inputs,
 					Curve:   true,
 					Library: lib,
 				})
-				if err != nil {
+				if errs[i] != nil {
 					errs[i] = fmt.Errorf("report: %s on %s (seed %d): %w",
-						name, rows[i].Package, cfg.BaseSeed+int64(k), err)
-					return false
+						name, rows[i].Package, cfg.BaseSeed+int64(k), errs[i])
 				}
-				outs[i] = out
 				return true
-			}},
-		})
-		if err := errors.Join(errs...); err != nil {
-			return BakeoffRow{}, err
-		}
-
-		means := make([]float64, len(cfg.Grid))
-		var collectors []*sensitive.Collector
-		var stats session.Stats
-		for i, out := range outs {
+			},
+		}, func(i int) {
+			if errs[i] != nil {
+				return
+			}
+			out := outs[i]
 			denom := len(exs[i].EffectiveActivities)
 			for g, b := range cfg.Grid {
 				means[g] += rate(coverageAt(out.Curve, b), denom)
@@ -242,6 +235,9 @@ func runBakeoffRow(name string, cfg BakeoffConfig, rows []corpus.PaperRow, exs [
 			fragPctSum += rate(nf, len(exs[i].EffectiveFragments)) / float64(len(rows))
 			collectors = append(collectors, out.Collector)
 			stats = stats.Add(out.Stats)
+		})
+		if err := errors.Join(errs...); err != nil {
+			return BakeoffRow{}, err
 		}
 		for g := range means {
 			means[g] /= float64(len(rows))

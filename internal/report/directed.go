@@ -106,13 +106,13 @@ func RenderGapClassification(g *GapClassification) string {
 }
 
 // TargetRun compares the directed and undirected targeted modes on one
-// (app, API) target: interpreter steps to the halt (mean over the study's
-// seeds) and whether each mode triggered the API at all.
+// (app, API) target: interpreter steps to the halt and whether each mode
+// triggered the API at all.
 type TargetRun struct {
 	Package string `json:"package"`
 	API     string `json:"api"`
-	// UndirectedSteps and DirectedSteps are mean interpreter steps until the
-	// run halted (on the API, or exhausted).
+	// UndirectedSteps and DirectedSteps are interpreter steps until the run
+	// halted (on the API, or exhausted).
 	UndirectedSteps float64 `json:"undirected_steps"`
 	DirectedSteps   float64 `json:"directed_steps"`
 	// LaunchSteps is the app's bare cold-launch cost: the steps a plain
@@ -120,8 +120,7 @@ type TargetRun struct {
 	// any searching can start, so the steps-to-target economy is measured on
 	// the excess past it.
 	LaunchSteps float64 `json:"launch_steps"`
-	// UndirectedReached and DirectedReached report the API firing (identical
-	// across seeds: both engines are deterministic given a seed).
+	// UndirectedReached and DirectedReached report the API firing.
 	UndirectedReached bool `json:"undirected_reached"`
 	DirectedReached   bool `json:"directed_reached"`
 	// DirectedSkipped marks targets the directed mode refused to search
@@ -201,9 +200,9 @@ func (s *DirectedStudy) MeanStepRatio() float64 {
 }
 
 // RunDirectedStudy runs every (app, API) target of the corpus's static reach
-// through both targeted modes under each seed and aggregates steps-to-target.
-// Both engines are deterministic, so multiple seeds pin reproducibility
-// rather than average out noise; the per-target means are over the seed runs.
+// through both targeted modes and aggregates steps-to-target. Neither engine
+// takes a seed and both are deterministic, so each target runs once per mode;
+// seeds are only recorded in the study and its JSON summary.
 func RunDirectedStudy(cfg EvalConfig, seeds []int64) (*DirectedStudy, error) {
 	if len(seeds) == 0 {
 		seeds = []int64{1, 2, 3}
@@ -222,28 +221,28 @@ func RunDirectedStudy(cfg EvalConfig, seeds []int64) (*DirectedStudy, error) {
 		}
 		sort.Strings(apis)
 		for _, api := range apis {
-			tr := TargetRun{Package: row.Package, API: api, LaunchSteps: launchSteps}
-			for range seeds {
-				ur, err := explorer.ExploreTarget(ex, cfg.Explorer, api)
-				if err != nil {
-					return nil, fmt.Errorf("report: undirected target %s on %s: %w", api, row.Package, err)
-				}
-				dr, err := explorer.ExploreTargetDirected(ex, cfg.Explorer, api)
-				if err != nil {
-					return nil, fmt.Errorf("report: directed target %s on %s: %w", api, row.Package, err)
-				}
-				if ur.Result != nil {
-					tr.UndirectedSteps += float64(ur.Result.Stats.Steps)
-				}
-				tr.UndirectedReached = tr.UndirectedReached || ur.Triggered
-				if dr.Result != nil {
-					tr.DirectedSteps += float64(dr.Result.Stats.Steps)
-				}
-				tr.DirectedReached = tr.DirectedReached || dr.Triggered
-				tr.DirectedSkipped = dr.Skipped
+			ur, err := explorer.ExploreTarget(ex, cfg.Explorer, api)
+			if err != nil {
+				return nil, fmt.Errorf("report: undirected target %s on %s: %w", api, row.Package, err)
 			}
-			tr.UndirectedSteps /= float64(len(seeds))
-			tr.DirectedSteps /= float64(len(seeds))
+			dr, err := explorer.ExploreTargetDirected(ex, cfg.Explorer, api)
+			if err != nil {
+				return nil, fmt.Errorf("report: directed target %s on %s: %w", api, row.Package, err)
+			}
+			tr := TargetRun{
+				Package:           row.Package,
+				API:               api,
+				LaunchSteps:       launchSteps,
+				UndirectedReached: ur.Triggered,
+				DirectedReached:   dr.Triggered,
+				DirectedSkipped:   dr.Skipped,
+			}
+			if ur.Result != nil {
+				tr.UndirectedSteps = float64(ur.Result.Stats.Steps)
+			}
+			if dr.Result != nil {
+				tr.DirectedSteps = float64(dr.Result.Stats.Steps)
+			}
 			study.Targets = append(study.Targets, tr)
 		}
 	}

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
 	"fragdroid/internal/apk"
+	"fragdroid/internal/artifact"
 	"fragdroid/internal/callgraph"
 	"fragdroid/internal/device"
 	"fragdroid/internal/paths"
@@ -142,6 +144,30 @@ func TestDirectedStudyEconomy(t *testing.T) {
 	b := BuildDirectedBench(s, evaluation(t).BuildGapClassification())
 	if b.GapStatic != 313 || b.GapConfirmed != 269 {
 		t.Errorf("bench gap totals = %d/%d, want 313/269", b.GapStatic, b.GapConfirmed)
+	}
+}
+
+// TestDirectedStudyDeterministic pins that the study, which runs each target
+// once per mode, repeats exactly: two independent runs, each on its own
+// artifact cache, must agree on every target's steps, reached flags and skip
+// marks.
+func TestDirectedStudyDeterministic(t *testing.T) {
+	run := func() *DirectedStudy {
+		t.Helper()
+		cfg := DefaultEvalConfig()
+		cfg.Cache = artifact.NewCache()
+		s, err := RunDirectedStudy(cfg, []int64{1, 2, 3})
+		if err != nil {
+			t.Fatalf("RunDirectedStudy: %v", err)
+		}
+		return s
+	}
+	first, second := run(), run()
+	if len(first.Targets) == 0 {
+		t.Fatal("study produced no targets")
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Error("two directed study runs differ")
 	}
 }
 

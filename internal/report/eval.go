@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"time"
 
 	"fragdroid/internal/apk"
 	"fragdroid/internal/artifact"
@@ -36,12 +37,9 @@ type EvalConfig struct {
 	// inputs and observer also apply to non-explorer strategies.
 	Explorer explorer.Config
 	// Parallel runs up to that many apps concurrently (each on its own
-	// simulated device). Zero or one means sequential. Results are
-	// positionally ordered either way, so all derived tables are identical.
+	// simulated device). Zero or one means sequential. Results are folded in
+	// corpus order either way, so all derived tables are identical.
 	Parallel int
-	// Stages optionally bounds each pipeline stage separately; zero fields
-	// fall back to Parallel. See StageLimits.
-	Stages StageLimits
 	// Cache memoizes app builds and static extractions across runs. Nil
 	// means the process-wide artifact.Default cache.
 	Cache *artifact.Cache
@@ -60,16 +58,6 @@ type EvalConfig struct {
 	// engine: values above 1 run warming devices alongside each engine's
 	// main loop. Results are identical for any value; requires Snapshots.
 	Devices int
-	// Stream schedules the corpus through the streaming pipeline: a bounded
-	// window of in-flight apps, each folded into the result in corpus order
-	// as it completes, with its snapshot pack flushed and released right
-	// after the fold instead of in one end-of-run Flush. Every result and
-	// derived table is bit-identical to the staged run; only scheduling and
-	// the memo's live set change.
-	Stream bool
-	// Window bounds in-flight apps in streaming mode; zero derives a default
-	// from the stage limits. Ignored without Stream.
-	Window int
 }
 
 // attachPersistence wires the artifact store under the shared memo when
@@ -140,16 +128,16 @@ func (ev *Evaluation) TotalStats() session.Stats {
 	return total
 }
 
-// RunEvaluation builds the 15 Table I apps and explores each with FragDroid,
-// as a staged pipeline: build, extract and explore have independent
-// concurrency limits (cfg.Stages, defaulting to cfg.Parallel), so one app
-// can be exploring while the next is still building. Builds and static
-// extractions are memoized through cfg's artifact cache, so repeated runs
-// (ablations, benchmarks) only pay for exploration. The result order (and
-// hence every derived table) is identical to a sequential run because each
-// app's exploration is self-contained and deterministic and the fold is
-// positional. Per-app failures are aggregated with errors.Join rather than
-// reported first-only.
+// RunEvaluation builds the 15 Table I apps and explores each with FragDroid
+// through the corpus scheduler: build, extract and explore each admit up to
+// cfg.Parallel apps, so one app can be exploring while the next is still
+// building. Builds and static extractions are memoized through cfg's artifact
+// cache, so repeated runs (ablations, benchmarks) only pay for exploration,
+// and nothing is evicted: RunDirectedStudy reuses the extractions. The result
+// order (and hence every derived table) is identical to a sequential run
+// because each app's exploration is self-contained and deterministic and the
+// fold is in corpus order. Per-app failures are aggregated with errors.Join
+// rather than reported first-only.
 func RunEvaluation(cfg EvalConfig) (*Evaluation, error) {
 	strat := cfg.Strategy
 	if strat == "" {
@@ -162,40 +150,42 @@ func RunEvaluation(cfg EvalConfig) (*Evaluation, error) {
 	rows := corpus.PaperRows()
 	cache := cfg.cache()
 	cfg.attachPersistence()
-	limits := cfg.Stages.withDefault(cfg.Parallel)
-	results := make([]AppResult, len(rows))
-	apps := make([]*apk.App, len(rows))
-	exs := make([]*statics.Extraction, len(rows))
-	errs := make([]error, len(rows))
 
 	// One spec per row, shared by the build and extract stages: the cache only
 	// reads specs (key derivation, and BuildApp on a cold miss), so there is no
 	// reason to generate each app's spec twice per run.
-	specs := make([]*corpus.AppSpec, len(rows))
-	for i := range rows {
-		specs[i] = corpus.PaperSpec(rows[i])
+	type item struct {
+		spec *corpus.AppSpec
+		app  *apk.App
+		ex   *statics.Extraction
+		res  AppResult
+		err  error
 	}
-
-	stages := []stage{
-		{limit: limits.Build, fn: func(i int) bool {
-			app, err := cache.App(specs[i])
-			if err != nil {
-				errs[i] = fmt.Errorf("report: build %s: %w", rows[i].Package, err)
-				return false
+	items := make([]item, len(rows))
+	for i := range rows {
+		items[i].spec = corpus.PaperSpec(rows[i])
+	}
+	results := make([]AppResult, 0, len(rows))
+	var errs []error
+	runStreamed(len(rows), cfg.Parallel, []func(int) bool{
+		func(i int) bool {
+			it := &items[i]
+			it.app, it.err = cache.App(it.spec)
+			if it.err != nil {
+				it.err = fmt.Errorf("report: build %s: %w", rows[i].Package, it.err)
 			}
-			apps[i] = app
-			return true
-		}},
-		{limit: limits.Extract, fn: func(i int) bool {
-			ex, err := cache.Extraction(specs[i])
-			if err != nil {
-				errs[i] = fmt.Errorf("report: extract %s: %w", rows[i].Package, err)
-				return false
+			return it.err == nil
+		},
+		func(i int) bool {
+			it := &items[i]
+			it.ex, it.err = cache.Extraction(it.spec)
+			if it.err != nil {
+				it.err = fmt.Errorf("report: extract %s: %w", rows[i].Package, it.err)
 			}
-			exs[i] = ex
-			return true
-		}},
-		{limit: limits.Run, fn: func(i int) bool {
+			return it.err == nil
+		},
+		func(i int) bool {
+			it := &items[i]
 			if strat == "explorer" {
 				ecfg := cfg.Explorer
 				if ecfg.Snapshots == nil {
@@ -204,15 +194,15 @@ func RunEvaluation(cfg EvalConfig) (*Evaluation, error) {
 				if ecfg.Devices == 0 {
 					ecfg.Devices = cfg.Devices
 				}
-				res, err := explorer.ExploreExtracted(exs[i], ecfg)
+				res, err := explorer.ExploreExtracted(it.ex, ecfg)
 				if err != nil {
-					errs[i] = fmt.Errorf("report: explore %s: %w", rows[i].Package, err)
+					it.err = fmt.Errorf("report: explore %s: %w", rows[i].Package, err)
 					return false
 				}
-				results[i] = AppResult{Row: rows[i], App: apps[i], Result: res, Outcome: strategy.FromExplorer(res)}
+				it.res = AppResult{Row: rows[i], App: it.app, Result: res, Outcome: strategy.FromExplorer(res)}
 				return true
 			}
-			out, err := strategy.Run(strat, exs[i], strategy.Options{
+			out, err := strategy.Run(strat, it.ex, strategy.Options{
 				Budget:    cfg.Explorer.MaxTestCases,
 				Seed:      cfg.Seed,
 				Inputs:    cfg.Explorer.Inputs,
@@ -222,37 +212,26 @@ func RunEvaluation(cfg EvalConfig) (*Evaluation, error) {
 				Curve:     true,
 			})
 			if err != nil {
-				errs[i] = fmt.Errorf("report: %s on %s: %w", strat, rows[i].Package, err)
+				it.err = fmt.Errorf("report: %s on %s: %w", strat, rows[i].Package, err)
 				return false
 			}
-			results[i] = AppResult{Row: rows[i], App: apps[i], Outcome: out}
+			it.res = AppResult{Row: rows[i], App: it.app, Outcome: out}
 			return true
-		}},
-	}
-	if cfg.Stream {
-		window := cfg.Window
-		if window <= 0 {
-			window = streamWindow(limits)
+		},
+	}, func(i int) {
+		if err := items[i].err; err != nil {
+			errs = append(errs, err)
+			return
 		}
-		runStreamed(len(rows), window, stages, func(i int) {
-			// The app is fully folded (its positional result slot is final);
-			// flush and drop its snapshot pack now, so the memo's live set
-			// tracks the window instead of the corpus.
-			if cfg.Snapshots != nil && apps[i] != nil {
-				_ = cfg.Snapshots.ReleaseApp(apps[i])
-			}
-		})
-	} else {
-		runStaged(len(rows), stages)
-	}
+		results = append(results, items[i].res)
+	})
 
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
-	if cfg.PersistSnapshots && cfg.Snapshots != nil && !cfg.Stream {
+	if cfg.PersistSnapshots && cfg.Snapshots != nil {
 		// Persisted packs hit disk once per app here, not once per store; a
-		// flush failure only costs the next run its warm start. (Streamed
-		// runs already flushed incrementally, app by app.)
+		// flush failure only costs the next run its warm start.
 		_ = cfg.Snapshots.Flush()
 	}
 	return &Evaluation{Strategy: strat, Apps: results}, nil
@@ -359,30 +338,22 @@ func (s StudyResult) FragmentSharePct() float64 {
 type StudyConfig struct {
 	// Seed selects the deterministic 217-app dataset variant.
 	Seed int64
-	// Parallel analyzes up to that many apps concurrently. Zero or one means
-	// sequential; results are identical either way (per-app outcomes are
-	// collected positionally and folded in dataset order).
+	// Parallel analyzes up to that many apps concurrently, with at most
+	// 2×Parallel (at least 4) in flight. Zero or one means sequential;
+	// results are identical either way (per-app outcomes are folded in
+	// dataset order).
 	Parallel int
-	// Stages optionally bounds each pipeline stage separately; zero fields
-	// fall back to Parallel. See StageLimits.
-	Stages StageLimits
 	// Cache memoizes app builds across runs. Nil means artifact.Default.
 	Cache *artifact.Cache
 	// Source optionally overrides the corpus: any random-access spec source —
 	// typically corpus.NewFamily for corpus-scale runs — instead of the fixed
-	// 217-app corpus.StudySpecs(Seed). With a lazy source and Stream set, the
-	// run never materializes a spec slice.
+	// 217-app corpus.StudySpecs(Seed). A lazy source never materializes a
+	// spec slice.
 	Source corpus.SpecSource
-	// Stream switches the run from the positional fold (one result slot per
-	// app, peak heap O(corpus)) to the streaming fold: a bounded window of
-	// in-flight apps, each folded into the aggregate in dataset order and
-	// then released — evicted from the artifact cache, its spec, app and IR
-	// program dropped. Peak heap is O(Window), and every derived number is
-	// bit-identical to the positional fold (the two paths share one fold).
+	// Stream is ignored: every run streams through one bounded window.
+	//
+	// Deprecated: kept only so existing callers compile; it has no effect.
 	Stream bool
-	// Window bounds in-flight apps in streaming mode; zero derives a default
-	// from the stage limits. Ignored without Stream.
-	Window int
 }
 
 // RunStudy performs the 217-app study sequentially with the default cache.
@@ -391,11 +362,7 @@ func RunStudy(seed int64) (*StudyResult, error) {
 }
 
 // studyFold accumulates the study aggregate one app at a time, in dataset
-// order. Both the positional fold (RunStudyWith) and the streaming fold
-// (RunStudyStreamed) run every app through this exact code, which is what
-// makes their results bit-identical by construction rather than by test
-// luck: the only thing streaming changes is when an app's outcome reaches
-// add, never what add does with it.
+// order, so the result is the same whatever order the apps complete in.
 type studyFold struct {
 	res  *StudyResult
 	cats map[string]*CategoryStat
@@ -449,59 +416,95 @@ func (f *studyFold) finish() *StudyResult {
 
 // RunStudyWith performs the §VII-A study: build each app (packed apps fail
 // decompilation, as in the paper) and statically scan the class hierarchy for
-// Fragment subclass usage. The build and scan stages pipeline independently
-// (cfg.Stages, defaulting to cfg.Parallel); the fold over outcomes is always
-// sequential in dataset order, so counts and the ByCategory breakdown match
-// a serial run exactly. With cfg.Stream the run delegates to the streaming
-// fold (bounded live set, same numbers); without it, outcomes are collected
-// positionally — peak heap O(corpus), fine for the 217-app dataset.
+// Fragment subclass usage. Build and scan each admit up to cfg.Parallel apps;
+// each app folds into the aggregate in dataset order and is then released —
+// evicted from the artifact cache, its ring slot cleared — so the spec, the
+// built app, its compiled IR program and its extraction become garbage the
+// moment the fold has consumed them. Peak heap is O(window · app size) however
+// large the corpus, and counts and the ByCategory breakdown match a serial run
+// exactly.
 func RunStudyWith(cfg StudyConfig) (*StudyResult, error) {
-	if cfg.Stream {
-		res, _, err := RunStudyStreamed(cfg)
-		return res, err
-	}
+	return runStudy(cfg, nil)
+}
+
+// runStudy is RunStudyWith; a non-nil st also records the run's StreamStats,
+// sampling the heap while the corpus streams.
+func runStudy(cfg StudyConfig, st *StreamStats) (*StudyResult, error) {
 	src := cfg.source()
 	n := src.Len()
-	specs := make([]*corpus.AppSpec, n)
-	for i := range specs {
-		specs[i] = src.At(i)
-	}
 	cache := cfg.cacheOrDefault()
-	limits := cfg.Stages.withDefault(cfg.Parallel)
+	window := streamWindow(cfg.Parallel)
 
-	type outcome struct {
+	// Ring slots: item i lives in slot i%window. runStreamed guarantees item
+	// i+window is admitted only after fold(i) returned, so a slot is never
+	// shared by two live items.
+	type slot struct {
+		spec      *corpus.AppSpec
+		key       string // artifact.Key(spec), hashed once per app
+		app       *apk.App
 		packed    bool
 		fragments bool
+		err       error
 	}
-	apps := make([]*apk.App, n)
-	outs := make([]outcome, n)
-	errs := make([]error, n)
-	runStaged(n, []stage{
-		{limit: limits.Build, fn: func(i int) bool {
-			app, err := cache.App(specs[i])
+	slots := make([]slot, window)
+	fold := newStudyFold(n)
+	var errs []error
+
+	var sampler *heapSampler
+	if st != nil {
+		sampler = startHeapSampler()
+	}
+	start := time.Now()
+	maxLive := runStreamed(n, cfg.Parallel, []func(int) bool{
+		func(i int) bool {
+			s := &slots[i%window]
+			*s = slot{spec: src.At(i)}
+			s.key = artifact.Key(s.spec)
+			app, err := cache.KeyedApp(s.key, s.spec)
 			if errors.Is(err, apk.ErrPacked) {
-				outs[i].packed = true
+				s.packed = true
 				return false
 			}
 			if err != nil {
-				errs[i] = fmt.Errorf("report: study build %s: %w", specs[i].Package, err)
+				s.err = fmt.Errorf("report: study build %s: %w", s.spec.Package, err)
 				return false
 			}
-			apps[i] = app
+			s.app = app
 			return true
-		}},
-		{limit: limits.Run, fn: func(i int) bool {
-			outs[i].fragments = usesFragments(apps[i])
+		},
+		func(i int) bool {
+			s := &slots[i%window]
+			s.fragments = usesFragments(s.app)
 			return true
-		}},
+		},
+	}, func(i int) {
+		s := &slots[i%window]
+		if s.err != nil {
+			errs = append(errs, s.err)
+		} else {
+			fold.add(s.spec.Package, s.packed, s.fragments)
+		}
+		// Release: drop the cache's entries and the slot's references. The
+		// app, its program and everything hanging off them are now
+		// unreachable; the persistent store (if any) keeps its copy.
+		cache.EvictKey(s.key)
+		*s = slot{}
 	})
+	if st != nil {
+		elapsed := time.Since(start)
+		*st = StreamStats{
+			Apps:          n,
+			Window:        window,
+			MaxLive:       maxLive,
+			Elapsed:       elapsed,
+			PeakHeapBytes: sampler.stop(),
+		}
+		if secs := elapsed.Seconds(); secs > 0 {
+			st.AppsPerSec = float64(n) / secs
+		}
+	}
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
-	}
-
-	fold := newStudyFold(n)
-	for i := range specs {
-		fold.add(specs[i].Package, outs[i].packed, outs[i].fragments)
 	}
 	return fold.finish(), nil
 }

@@ -13,8 +13,8 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite the family lint goldens under testdata/")
 
-// TestFamilyLintGolden pins the corpus-scale lint sweep: the streamed
-// RunLintStudy over the 2000-app family must render exactly the summary
+// TestFamilyLintGolden pins the corpus-scale lint sweep: RunLintStudy over
+// the 2000-app family must render exactly the summary
 // `fragstudy -lint -corpus family -n 2000 -seed S -stream -cache off`
 // printed when the goldens were captured, for seeds 1 and 3. Any change to
 // the static phase, the call graph or the analyzers that moves one finding
@@ -24,7 +24,7 @@ func TestFamilyLintGolden(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			s, err := RunLintStudy(StudyConfig{
 				Seed: seed, Parallel: 2, Cache: artifact.NewCache(),
-				Source: corpus.NewFamily(2000, seed), Stream: true,
+				Source: corpus.NewFamily(2000, seed),
 			})
 			if err != nil {
 				t.Fatal(err)

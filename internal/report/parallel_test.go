@@ -7,99 +7,89 @@ import (
 	"fragdroid/internal/artifact"
 )
 
+// parallelSettings are the widths every corpus run is checked at against a
+// sequential run: one worker, an odd width whose window of 6 does not divide
+// the corpus, and a width whose window of 16 covers the whole 15-app
+// evaluation.
+var parallelSettings = []int{1, 3, 8}
+
 // TestParallelEvaluationMatchesSequential checks that running the corpus on
 // a pool of simulated devices yields byte-identical tables: every per-app
-// exploration is deterministic and self-contained.
+// exploration is deterministic and self-contained, and the scheduler folds
+// in corpus order.
 func TestParallelEvaluationMatchesSequential(t *testing.T) {
 	seq := evaluation(t) // cached sequential run
+	for _, p := range parallelSettings {
+		cfg := DefaultEvalConfig()
+		cfg.Parallel = p
+		cfg.Cache = artifact.NewCache()
+		par, err := RunEvaluation(cfg)
+		if err != nil {
+			t.Fatalf("parallel %d RunEvaluation: %v", p, err)
+		}
 
-	cfg := DefaultEvalConfig()
-	cfg.Parallel = 4
-	par, err := RunEvaluation(cfg)
-	if err != nil {
-		t.Fatalf("parallel RunEvaluation: %v", err)
-	}
-
-	st1 := seq.BuildTable1()
-	st2 := par.BuildTable1()
-	if !reflect.DeepEqual(st1, st2) {
-		t.Fatal("parallel Table I differs from sequential")
-	}
-	m1 := seq.BuildTable2()
-	m2 := par.BuildTable2()
-	if !reflect.DeepEqual(m1.Apps, m2.Apps) || !reflect.DeepEqual(m1.APIs, m2.APIs) {
-		t.Fatal("parallel Table II axes differ")
-	}
-	for _, api := range m1.APIs {
-		for _, app := range m1.Apps {
-			if m1.Cell(api, app) != m2.Cell(api, app) {
-				t.Fatalf("cell (%s, %s) differs", api, app)
+		st1 := seq.BuildTable1()
+		st2 := par.BuildTable1()
+		if !reflect.DeepEqual(st1, st2) {
+			t.Fatalf("parallel %d Table I differs from sequential", p)
+		}
+		m1 := seq.BuildTable2()
+		m2 := par.BuildTable2()
+		if !reflect.DeepEqual(m1.Apps, m2.Apps) || !reflect.DeepEqual(m1.APIs, m2.APIs) {
+			t.Fatalf("parallel %d Table II axes differ", p)
+		}
+		for _, api := range m1.APIs {
+			for _, app := range m1.Apps {
+				if m1.Cell(api, app) != m2.Cell(api, app) {
+					t.Fatalf("parallel %d cell (%s, %s) differs", p, api, app)
+				}
 			}
 		}
-	}
-	if m1.ComputeStats() != m2.ComputeStats() {
-		t.Fatal("parallel stats differ")
+		if m1.ComputeStats() != m2.ComputeStats() {
+			t.Fatalf("parallel %d stats differ", p)
+		}
+		if RenderTable1(st1) != RenderTable1(st2) || RenderRunMetrics(seq) != RenderRunMetrics(par) {
+			t.Fatalf("parallel %d rendered Table I or run metrics differ", p)
+		}
 	}
 }
 
 // TestParallelStudyMatchesSequential checks that the 217-app study produces
 // the same StudyResult — including the ByCategory order — on a worker pool
-// as it does serially. Both runs get fresh caches so neither is served warm
-// results from the other.
+// as it does serially. Every run gets a fresh cache so none is served warm
+// results from another.
 func TestParallelStudyMatchesSequential(t *testing.T) {
-	seq, err := RunStudyWith(StudyConfig{Seed: 1, Parallel: 1, Cache: artifact.NewCache()})
+	seq, err := RunStudyWith(StudyConfig{Seed: 1, Cache: artifact.NewCache()})
 	if err != nil {
 		t.Fatalf("sequential RunStudyWith: %v", err)
 	}
-	par, err := RunStudyWith(StudyConfig{Seed: 1, Parallel: 8, Cache: artifact.NewCache()})
-	if err != nil {
-		t.Fatalf("parallel RunStudyWith: %v", err)
-	}
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatalf("parallel study differs from sequential:\nseq: %+v\npar: %+v", seq, par)
+	for _, p := range parallelSettings {
+		par, err := RunStudyWith(StudyConfig{Seed: 1, Parallel: p, Cache: artifact.NewCache()})
+		if err != nil {
+			t.Fatalf("parallel %d RunStudyWith: %v", p, err)
+		}
+		if !reflect.DeepEqual(seq, par) {
+			t.Fatalf("parallel %d study differs from sequential:\nseq: %+v\npar: %+v", p, seq, par)
+		}
 	}
 }
 
-// TestStagedLimitsMatchSequential checks that uneven per-stage concurrency
-// limits — the pipelined scheduler's reason to exist — still produce the
-// exact sequential tables and study result. Limits are chosen so every
-// combination of "stage saturated / stage serial" occurs at least once.
-func TestStagedLimitsMatchSequential(t *testing.T) {
-	seq := evaluation(t)
-
-	for _, limits := range []StageLimits{
-		{Build: 4, Extract: 1, Run: 2},
-		{Build: 1, Extract: 3, Run: 1},
-		{Build: 2, Extract: 2, Run: 4},
-	} {
-		cfg := DefaultEvalConfig()
-		cfg.Stages = limits
-		par, err := RunEvaluation(cfg)
+// TestParallelLintMatchesSequential is the same check for the lint sweep over
+// the 217-app dataset: the whole aggregate, per-code and per-severity counts
+// included, is independent of the worker count.
+func TestParallelLintMatchesSequential(t *testing.T) {
+	seq, err := RunLintStudy(StudyConfig{Seed: 1, Cache: artifact.NewCache()})
+	if err != nil {
+		t.Fatalf("sequential RunLintStudy: %v", err)
+	}
+	for _, p := range parallelSettings {
+		par, err := RunLintStudy(StudyConfig{Seed: 1, Parallel: p, Cache: artifact.NewCache()})
 		if err != nil {
-			t.Fatalf("staged %+v RunEvaluation: %v", limits, err)
+			t.Fatalf("parallel %d RunLintStudy: %v", p, err)
 		}
-		if !reflect.DeepEqual(seq.BuildTable1(), par.BuildTable1()) {
-			t.Fatalf("staged %+v Table I differs from sequential", limits)
+		if !reflect.DeepEqual(seq, par) {
+			t.Fatalf("parallel %d lint study differs from sequential:\nseq: %+v\npar: %+v", p, seq, par)
 		}
-		if seq.BuildTable2().ComputeStats() != par.BuildTable2().ComputeStats() {
-			t.Fatalf("staged %+v Table II stats differ from sequential", limits)
-		}
-	}
-
-	want, err := RunStudyWith(StudyConfig{Seed: 1, Cache: artifact.NewCache()})
-	if err != nil {
-		t.Fatalf("sequential RunStudyWith: %v", err)
-	}
-	got, err := RunStudyWith(StudyConfig{
-		Seed:   1,
-		Stages: StageLimits{Build: 6, Run: 2},
-		Cache:  artifact.NewCache(),
-	})
-	if err != nil {
-		t.Fatalf("staged RunStudyWith: %v", err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("staged study differs from sequential:\nseq: %+v\nstg: %+v", want, got)
 	}
 }
 

@@ -1,115 +1,63 @@
 package report
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
-// The corpus runs are staged pipelines: every app flows through up to three
-// stages — build (corpus generation or store load), extract (static
-// analysis), run (dynamic exploration or scan) — followed by a sequential
-// fold over positional result slots. Stages have independent concurrency
-// limits, so an app can be exploring while the next one is still building:
-// unlike a flat per-app worker pool, a slow stage only throttles itself, and
-// with a persistent artifact store the disk reads of later apps overlap the
-// compute of earlier ones.
+// Every corpus run — the study, the lint sweep, the evaluation and the
+// bake-off — goes through one scheduler, runStreamed. Each app flows through
+// up to three stages — build (corpus generation or store load), extract
+// (static analysis), run (dynamic exploration or scan) — and is then folded
+// into the caller's result, strictly in dataset order. Every stage admits at
+// most Parallel apps at once, so an app can be exploring while the next one
+// is still building, and at most streamWindow(Parallel) apps are in flight
+// (admitted, not yet folded), so a 10k-app corpus holds a bounded live set.
 //
-// Determinism is unaffected by any of this. Stage functions write only to
-// their own index's slots, the fold always walks the slots in dataset order,
-// and per-app errors are aggregated with errors.Join over the positional
-// error slice, so every derived table is identical to a sequential run.
+// Determinism is unaffected by any of this. Stage functions touch only their
+// own item's state, the fold runs on the calling goroutine in index order,
+// and per-app errors are collected by the fold in that same order, so every
+// derived table is identical to a sequential run.
 
-// StageLimits bounds the per-stage concurrency of a pipeline run. Zero
-// fields fall back to the coarse Parallel knob of the owning config, so
-// existing callers that only set Parallel keep their exact behaviour.
-type StageLimits struct {
-	// Build bounds concurrent app builds (or artifact-store loads).
-	Build int
-	// Extract bounds concurrent static extractions.
-	Extract int
-	// Run bounds concurrent dynamic runs (explorations, scans, lints). Each
-	// run owns a simulated device, so this is the stage that controls peak
-	// memory.
-	Run int
-}
-
-// withDefault fills zero fields with the coarse parallelism knob.
-func (l StageLimits) withDefault(parallel int) StageLimits {
-	if l.Build == 0 {
-		l.Build = parallel
+// streamWindow is the in-flight window for a run with the given parallelism:
+// twice the stage limit, so the fold catching up never starves a stage, with
+// a small floor for near-serial runs.
+func streamWindow(parallel int) int {
+	if w := 2 * parallel; w > 4 {
+		return w
 	}
-	if l.Extract == 0 {
-		l.Extract = parallel
-	}
-	if l.Run == 0 {
-		l.Run = parallel
-	}
-	return l
+	return 4
 }
 
-// serial reports whether every stage is capped at one worker; such runs skip
-// goroutines entirely and drive each item through all stages in order.
-func (l StageLimits) serial() bool {
-	return l.Build <= 1 && l.Extract <= 1 && l.Run <= 1
-}
-
-// stage couples one pipeline stage's concurrency limit with its work
-// function. The function receives the item index and reports whether the
-// item continues to the next stage; a false return (error or early outcome,
-// recorded by the closure in its positional slot) drops the item.
-type stage struct {
-	limit int
-	fn    func(i int) bool
-}
-
-// runStaged drives items 0..n-1 through the stages. Each item advances
-// through the stages in order without barriers between items; per-stage
-// semaphores bound how many items occupy a stage at once. With every limit
-// at most one the items run strictly sequentially on the calling goroutine.
-// runStreamed drives items 0..n-1 through the stages like runStaged, but
-// with two differences that turn the positional fold into a streaming one:
+// runStreamed drives items 0..n-1 through the stages. Each stage function
+// receives the item index and reports whether the item continues to the next
+// stage; a false return (an error or an early outcome, recorded by the
+// closure in the item's state) drops the item, which is still folded.
 //
-//   - Admission control. At most window items are in flight (admitted, not
-//     yet folded) at any moment, enforced by a counting semaphore whose token
-//     is released only AFTER the item's fold completes. A worker goroutine
+//   - Admission control. At most streamWindow(parallel) items are in flight
+//     at any moment, enforced by a counting semaphore whose token is
+//     released only AFTER the item's fold completes. A worker goroutine
 //     exists only per in-flight item, so a 10k-app corpus runs on window
-//     goroutines, not 10k.
+//     goroutines, not 10k. Each stage additionally admits at most parallel
+//     items at once.
 //
-//   - Incremental fold. Each completed item is handed to fold exactly once,
-//     in index order, on the calling goroutine — the same sequential,
-//     deterministic fold discipline as the positional slices, minus the
-//     slices. Out-of-order completions park in a pending set bounded by
-//     window.
+//   - In-order fold. Each item is handed to fold exactly once, in index
+//     order, on the calling goroutine. Out-of-order completions park in a
+//     pending set bounded by the window.
 //
 // Together these give callers a ring-buffer contract: state for item i may
-// live in a slot indexed i%window, because item i+window is admitted only
-// after fold(i) has returned and released its token — a slot is never
-// touched by two live items at once.
+// live in a slot indexed i%streamWindow(parallel), because item i+window is
+// admitted only after fold(i) has returned and released its token — a slot
+// is never touched by two live items at once.
 //
 // The return value is the high-water mark of in-flight items (≤ window by
-// construction); bounded-memory tests assert on it. With window <= 1 or
-// every stage limit at 1, items run strictly sequentially on the calling
-// goroutine.
-func runStreamed(n, window int, stages []stage, fold func(i int)) int {
+// construction); bounded-memory tests assert on it. With parallel <= 1 the
+// items run strictly sequentially on the calling goroutine.
+func runStreamed(n, parallel int, stages []func(i int) bool, fold func(i int)) int {
 	if n <= 0 {
 		return 0
 	}
-	if window < 1 {
-		window = 1
-	}
-	serial := window == 1
-	if !serial {
-		serial = true
-		for _, s := range stages {
-			if s.limit > 1 {
-				serial = false
-			}
-		}
-	}
-	if serial {
+	if parallel <= 1 {
 		for i := 0; i < n; i++ {
-			for _, s := range stages {
-				if !s.fn(i) {
+			for _, fn := range stages {
+				if !fn(i) {
 					break
 				}
 			}
@@ -117,11 +65,10 @@ func runStreamed(n, window int, stages []stage, fold func(i int)) int {
 		}
 		return 1
 	}
+	window := streamWindow(parallel)
 	sems := make([]chan struct{}, len(stages))
-	for j, s := range stages {
-		if s.limit > 0 {
-			sems[j] = make(chan struct{}, s.limit)
-		}
+	for j := range stages {
+		sems[j] = make(chan struct{}, parallel)
 	}
 	admit := make(chan struct{}, window)
 	done := make(chan int)
@@ -131,14 +78,10 @@ func runStreamed(n, window int, stages []stage, fold func(i int)) int {
 			admit <- struct{}{}
 			admitted.Add(1)
 			go func(i int) {
-				for j, s := range stages {
-					if sems[j] != nil {
-						sems[j] <- struct{}{}
-					}
-					ok := s.fn(i)
-					if sems[j] != nil {
-						<-sems[j]
-					}
+				for j, fn := range stages {
+					sems[j] <- struct{}{}
+					ok := fn(i)
+					<-sems[j]
 					if !ok {
 						break
 					}
@@ -164,49 +107,4 @@ func runStreamed(n, window int, stages []stage, fold func(i int)) int {
 		}
 	}
 	return maxLive
-}
-
-func runStaged(n int, stages []stage) {
-	serial := true
-	for _, s := range stages {
-		if s.limit > 1 {
-			serial = false
-		}
-	}
-	if serial {
-		for i := 0; i < n; i++ {
-			for _, s := range stages {
-				if !s.fn(i) {
-					break
-				}
-			}
-		}
-		return
-	}
-	sems := make([]chan struct{}, len(stages))
-	for j, s := range stages {
-		if s.limit > 0 {
-			sems[j] = make(chan struct{}, s.limit)
-		}
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for j, s := range stages {
-				if sems[j] != nil {
-					sems[j] <- struct{}{}
-				}
-				ok := s.fn(i)
-				if sems[j] != nil {
-					<-sems[j]
-				}
-				if !ok {
-					return
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
 }

@@ -573,45 +573,6 @@ func (m *SnapshotMemo) Flush() error {
 	return firstErr
 }
 
-// ReleaseApp drops every memo resource tied to one installed app: its
-// memoized prefixes, its loaded snapshot packs (a dirty pack is flushed
-// through the attached store first, so nothing learned this run is lost),
-// and its pack-cache bindings. The streaming corpus pipeline calls it after
-// folding an app's results — without the release a long-lived memo pins
-// every explored app's snapshots, and its pack cache pins the app itself.
-// Re-exploring a released app later is correct, just cold in memory: the
-// pack reloads from disk.
-func (m *SnapshotMemo) ReleaseApp(app *apk.App) error {
-	// Flush skips clean packs, so in a streaming run this writes exactly the
-	// released app's own pack (earlier apps were flushed at their release).
-	err := m.Flush()
-	fp := appFingerprint(app)
-	m.mu.Lock()
-	for key, el := range m.idx {
-		if key.fp != fp {
-			continue
-		}
-		m.bytesPinned -= el.Value.(*memoEntry).size
-		m.lru.Remove(el)
-		delete(m.idx, key)
-	}
-	for _, ad := range []bool{false, true} {
-		pk := packKey(fp, ad)
-		if p, ok := m.packs[pk]; ok {
-			for _, e := range p.entries {
-				m.bytesPinned -= e.size
-			}
-			if p.payload != nil {
-				m.bytesPinned -= len(p.payload)
-			}
-			delete(m.packs, pk)
-		}
-		m.packCache.Delete(packCacheKey{app: app, autoDismiss: ad})
-	}
-	m.mu.Unlock()
-	return err
-}
-
 // insert adds an entry under first-capture-wins semantics and applies
 // capacity eviction, returning the number of entries evicted.
 func (m *SnapshotMemo) insert(key memoKey, ops []robotium.Op, snap *device.Snapshot) int {
