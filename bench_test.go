@@ -15,6 +15,7 @@
 //	M1  Benchmark{SmaliParse,DeviceStep,ArchiveRoundTrip,ExploreDemo}
 //	P1  BenchmarkStudyParallel         217-app study on 1..NumCPU workers
 //	P2  BenchmarkEvaluationCached      repeated evaluation against a warm cache
+//	G3  BenchmarkFamilyBuild           corpus-build layer of the family-lint round
 package fragdroid_test
 
 import (
@@ -552,6 +553,30 @@ func BenchmarkCallgraphBuild(b *testing.B) {
 	}
 	b.ReportMetric(nodes, "nodes")
 	b.ReportMetric(edges, "edges")
+}
+
+// G3 — the corpus-build layer of the family-lint round: member spec
+// generation plus BuildApp over a 2000-member family (packed members stop
+// at the spec, as in the study). Run with -benchmem; allocations per round
+// are half the layer's cost.
+func BenchmarkFamilyBuild(b *testing.B) {
+	fam := corpus.NewFamily(2000, 1)
+	b.ReportAllocs()
+	var built float64
+	for i := 0; i < b.N; i++ {
+		built = 0
+		for j := 0; j < fam.Len(); j++ {
+			spec := fam.At(j)
+			if spec.Packed {
+				continue
+			}
+			if _, err := corpus.BuildApp(spec); err != nil {
+				b.Fatalf("member %d: %v", j, err)
+			}
+			built++
+		}
+	}
+	b.ReportMetric(built, "apps")
 }
 
 // G2 — the fraglint overhead question on the 217-app study pipeline, through

@@ -125,7 +125,20 @@ func Assemble(man *manifest.Manifest, layouts []*layout.Layout, classes []*smali
 	if err := man.Validate(); err != nil {
 		return nil, err
 	}
-	tbl := res.NewTable()
+	// Size the table for every layout and widget ID up front (an upper
+	// bound: IDs shared between layouts count once per layout), so it never
+	// grows while the layouts register. The count walks the trees rather
+	// than calling IDRefCount, which would cache it in each layout.
+	hint := len(layouts)
+	for _, l := range layouts {
+		l.Walk(func(w *layout.Widget) bool {
+			if w.IDRef != "" {
+				hint++
+			}
+			return true
+		})
+	}
+	tbl := res.NewTableSized(hint)
 	lmap := make(map[string]*layout.Layout, len(layouts))
 	ordered := append([]*layout.Layout(nil), layouts...)
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Name < ordered[j].Name })

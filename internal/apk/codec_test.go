@@ -1,11 +1,15 @@
 package apk_test
 
 import (
+	"errors"
+	"fmt"
+	"maps"
 	"reflect"
 	"testing"
 
 	"fragdroid/internal/apk"
 	"fragdroid/internal/corpus"
+	"fragdroid/internal/layout"
 	"fragdroid/internal/res"
 )
 
@@ -112,4 +116,46 @@ func TestDecodeAppRejectsCorruptPayloads(t *testing.T) {
 		// must never panic. Decode errors are the expected common case.
 		apk.DecodeApp(mut)
 	}
+}
+
+// TestLoadRejectsResourceOverflow gives the demo app one extra layout
+// carrying MaxPerKind more widget IDs than fit (the app's own @ids come
+// first) and loads it through both decoders: the warm-store payload
+// (DecodeApp) and the .sapk archive (Load). Both must fail with the table's
+// *res.CapacityError rather than number an @id into the layout range.
+func TestLoadRejectsResourceOverflow(t *testing.T) {
+	app, err := corpus.BuildApp(corpus.DemoSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := &layout.Widget{Type: layout.TypeLinearLayout}
+	for n := 0; n < res.MaxPerKind; n++ {
+		root.Children = append(root.Children, &layout.Widget{
+			Type: layout.TypeTextView, IDRef: fmt.Sprintf("@id/bulk_%d", n),
+		})
+	}
+	big := *app
+	big.Layouts = maps.Clone(app.Layouts)
+	big.Layouts["zz_bulk"] = &layout.Layout{Name: "zz_bulk", Root: root}
+
+	wantCapacity := func(path string, err error) {
+		t.Helper()
+		var capErr *res.CapacityError
+		if !errors.As(err, &capErr) || capErr.Kind != res.KindID {
+			t.Fatalf("%s: err = %v, want *res.CapacityError for kind id", path, err)
+		}
+	}
+	data, err := apk.EncodeApp(&big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = apk.DecodeApp(data)
+	wantCapacity("DecodeApp", err)
+
+	arch, err := big.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = apk.Load(arch)
+	wantCapacity("Load", err)
 }

@@ -16,32 +16,34 @@ import (
 func lname(name string) string { return strings.ToLower(name) }
 
 // Ref builders shared between the generator, the tests, and the evaluation
-// harness (so they can address generated widgets symbolically).
-func refRoot(act string) string              { return "@id/" + lname(act) + "_root" }
-func refNavButton(from, to string) string    { return "@id/" + lname(from) + "_btn_" + lname(to) }
-func refActionButton(from, to string) string { return "@id/" + lname(from) + "_act_" + lname(to) }
-func refInput(from, to string) string        { return "@id/" + lname(from) + "_input_" + lname(to) }
-func refDrawer(act string) string            { return "@id/" + lname(act) + "_drawer" }
-func refDrawerToggle(act string) string      { return "@id/" + lname(act) + "_drawer_toggle" }
-func refSlideDrawer(act string) string       { return "@id/" + lname(act) + "_slide" }
-func refMenuButton(from, to string) string   { return "@id/" + lname(from) + "_menu_" + lname(to) }
+// harness (so they can address generated widgets symbolically). They take
+// names already lower-cased: the generator lowers each name once per build
+// (generator.low), the exported helpers below lower their arguments.
+func refRoot(act string) string              { return "@id/" + act + "_root" }
+func refNavButton(from, to string) string    { return "@id/" + from + "_btn_" + to }
+func refActionButton(from, to string) string { return "@id/" + from + "_act_" + to }
+func refInput(from, to string) string        { return "@id/" + from + "_input_" + to }
+func refDrawer(act string) string            { return "@id/" + act + "_drawer" }
+func refDrawerToggle(act string) string      { return "@id/" + act + "_drawer_toggle" }
+func refSlideDrawer(act string) string       { return "@id/" + act + "_slide" }
+func refMenuButton(from, to string) string   { return "@id/" + from + "_menu_" + to }
 func refSlideMenuButton(from, to string) string {
-	return "@id/" + lname(from) + "_smenu_" + lname(to)
+	return "@id/" + from + "_smenu_" + to
 }
 func refMenuFragButton(act, frag string) string {
-	return "@id/" + lname(act) + "_menu_f_" + lname(frag)
+	return "@id/" + act + "_menu_f_" + frag
 }
 func refSlideMenuFragButton(act, frag string) string {
-	return "@id/" + lname(act) + "_smenu_f_" + lname(frag)
+	return "@id/" + act + "_smenu_f_" + frag
 }
-func refTabButton(act, frag string) string { return "@id/" + lname(act) + "_tab_" + lname(frag) }
-func refContainer(act string) string       { return "@id/" + lname(act) + "_container" }
+func refTabButton(act, frag string) string { return "@id/" + act + "_tab_" + frag }
+func refContainer(act string) string       { return "@id/" + act + "_container" }
 func refStaticFrag(act, frag string) string {
-	return "@id/" + lname(act) + "_sfrag_" + lname(frag)
+	return "@id/" + act + "_sfrag_" + frag
 }
-func refFragRoot(frag string) string         { return "@id/" + lname(frag) + "_root" }
-func refFragLabel(frag string) string        { return "@id/" + lname(frag) + "_label" }
-func refSwitchButton(from, to string) string { return "@id/" + lname(from) + "_sw_" + lname(to) }
+func refFragRoot(frag string) string         { return "@id/" + frag + "_root" }
+func refFragLabel(frag string) string        { return "@id/" + frag + "_label" }
+func refSwitchButton(from, to string) string { return "@id/" + from + "_sw_" + to }
 
 // Exported ref helpers for harness code.
 //
@@ -49,14 +51,16 @@ func refSwitchButton(from, to string) string { return "@id/" + lname(from) + "_s
 // InputRef the gate field of a gated transition; DrawerToggleRef the drawer
 // toggle; TabButtonRef the tab of a WireTxnButton wire; ContainerRef the
 // fragment container of an activity; SwitchButtonRef the F→F switch button.
-func NavButtonRef(from, to string) string       { return refNavButton(from, to) }
-func InputRef(from, to string) string           { return refInput(from, to) }
-func DrawerToggleRef(act string) string         { return refDrawerToggle(act) }
-func MenuButtonRef(from, to string) string      { return refMenuButton(from, to) }
-func TabButtonRef(act, frag string) string      { return refTabButton(act, frag) }
-func ContainerRef(act string) string            { return refContainer(act) }
-func SwitchButtonRef(from, to string) string    { return refSwitchButton(from, to) }
-func MenuFragButtonRef(act, frag string) string { return refMenuFragButton(act, frag) }
+func NavButtonRef(from, to string) string    { return refNavButton(lname(from), lname(to)) }
+func InputRef(from, to string) string        { return refInput(lname(from), lname(to)) }
+func DrawerToggleRef(act string) string      { return refDrawerToggle(lname(act)) }
+func MenuButtonRef(from, to string) string   { return refMenuButton(lname(from), lname(to)) }
+func TabButtonRef(act, frag string) string   { return refTabButton(lname(act), lname(frag)) }
+func ContainerRef(act string) string         { return refContainer(lname(act)) }
+func SwitchButtonRef(from, to string) string { return refSwitchButton(lname(from), lname(to)) }
+func MenuFragButtonRef(act, frag string) string {
+	return refMenuFragButton(lname(act), lname(frag))
+}
 
 // handlerGo and friends name generated handler methods.
 func handlerGo(to string) string     { return "onGo" + to }
@@ -82,7 +86,7 @@ func BuildArchive(spec *AppSpec) (*apk.Archive, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	g := &generator{spec: spec}
+	g := newGenerator(spec)
 	p, err := g.build()
 	if err != nil {
 		return nil, fmt.Errorf("corpus: build %s: %w", spec.Package, err)
@@ -110,7 +114,7 @@ func BuildApp(spec *AppSpec) (*apk.App, error) {
 	if spec.Packed {
 		return nil, apk.ErrPacked
 	}
-	g := &generator{spec: spec}
+	g := newGenerator(spec)
 	p, err := g.build()
 	if err != nil {
 		return nil, fmt.Errorf("corpus: build %s: %w", spec.Package, err)
@@ -153,21 +157,94 @@ func (p *parts) encode() (*apk.Archive, error) {
 	return arch, nil
 }
 
+// generator turns one spec into the parts of its app. It is built once per
+// build (newGenerator) and derives what every activity consults more than
+// once up front: each name's lower-cased form, and each activity's outgoing
+// transitions.
 type generator struct {
 	spec *AppSpec
+	// lower maps each activity and fragment name to strings.ToLower of it;
+	// resource names and refs are built from these.
+	lower map[string]string
+	// out[i] holds the transitions leaving spec.Activities[i], in spec
+	// order.
+	out [][]Transition
+}
+
+// publicAccess is the access-flag list of every generated class and method.
+// All of them share this one read-only slice.
+var publicAccess = []string{"public"}
+
+func newGenerator(spec *AppSpec) *generator {
+	g := &generator{
+		spec:  spec,
+		lower: make(map[string]string, len(spec.Activities)+len(spec.Fragments)),
+		out:   make([][]Transition, len(spec.Activities)),
+	}
+	index := make(map[string]int, len(spec.Activities))
+	for i := range spec.Activities {
+		name := spec.Activities[i].Name
+		index[name] = i
+		g.lower[name] = strings.ToLower(name)
+	}
+	for i := range spec.Fragments {
+		name := spec.Fragments[i].Name
+		if _, ok := g.lower[name]; !ok {
+			g.lower[name] = strings.ToLower(name)
+		}
+	}
+	// Group the transitions by source activity in one pass: count, then
+	// carve each activity's run out of one backing array.
+	from := make([]int, len(spec.Transition))
+	count := make([]int, len(spec.Activities))
+	for k, tr := range spec.Transition {
+		i, ok := index[tr.From]
+		if !ok {
+			i = -1 // unreachable; Validate guarantees a declared source
+		} else {
+			count[i]++
+		}
+		from[k] = i
+	}
+	backing := make([]Transition, 0, len(spec.Transition))
+	for i, n := range count {
+		g.out[i] = backing[len(backing) : len(backing) : len(backing)+n]
+		backing = backing[:len(backing)+n]
+	}
+	for k, tr := range spec.Transition {
+		if i := from[k]; i >= 0 {
+			g.out[i] = append(g.out[i], tr)
+		}
+	}
+	return g
 }
 
 func (g *generator) fq(name string) string { return g.spec.Package + "." + name }
 
-// transitionsFrom returns the outgoing transitions of an activity.
-func (g *generator) transitionsFrom(act string) []Transition {
-	var out []Transition
-	for _, tr := range g.spec.Transition {
-		if tr.From == act {
-			out = append(out, tr)
-		}
+// low returns the lower-cased name, computed once per generator. Names the
+// spec does not declare (none reach here after Validate) are lowered on the
+// fly.
+func (g *generator) low(name string) string {
+	if l, ok := g.lower[name]; ok {
+		return l
 	}
-	return out
+	return lname(name)
+}
+
+// gateValue is GateValue over the generator's lower-cased names.
+func (g *generator) gateValue(gate *InputGate, to string) string {
+	if gate != nil && gate.Expected != "" {
+		return gate.Expected
+	}
+	return "letmein-" + g.low(to)
+}
+
+// gateField is the input field guarding a gated transition from act.
+func (g *generator) gateField(act string, tr Transition) string {
+	if tr.Gate.Field != "" {
+		return tr.Gate.Field
+	}
+	return refInput(g.low(act), g.low(tr.To))
 }
 
 // switchesFrom returns the F→F switches leaving a fragment.
@@ -194,15 +271,19 @@ func (g *generator) hostOf(frag string) (string, bool) {
 }
 
 func (g *generator) build() (*parts, error) {
-	p := &parts{manifest: g.buildManifest()}
+	p := &parts{
+		manifest: g.buildManifest(),
+		layouts:  make([]*layout.Layout, 0, len(g.spec.Activities)+len(g.spec.Fragments)),
+		classes:  make([]*smali.Class, 0, len(g.spec.Activities)+len(g.spec.Fragments)+len(g.spec.Receivers)),
+	}
 	for i := range g.spec.Activities {
 		a := &g.spec.Activities[i]
-		l, err := g.activityLayout(a)
+		l, err := g.activityLayout(a, g.out[i])
 		if err != nil {
 			return nil, err
 		}
 		p.layouts = append(p.layouts, l)
-		p.classes = append(p.classes, g.activityClass(a))
+		p.classes = append(p.classes, g.activityClass(a, g.out[i]))
 	}
 	for i := range g.spec.Fragments {
 		f := &g.spec.Fragments[i]
@@ -220,7 +301,7 @@ func (g *generator) build() (*parts, error) {
 }
 
 func (g *generator) receiverClass(r *ReceiverSpec) *smali.Class {
-	c := &smali.Class{Name: g.fq(r.Name), Super: smali.ClassReceiver, Access: []string{"public"}}
+	c := &smali.Class{Name: g.fq(r.Name), Super: smali.ClassReceiver, Access: publicAccess}
 	var body []smali.Instr
 	for _, api := range r.Sensitive {
 		body = append(body, ins(smali.OpInvokeSensitive, api))
@@ -236,7 +317,7 @@ func (g *generator) receiverClass(r *ReceiverSpec) *smali.Class {
 		body = append(body, ins(smali.OpLog, "broadcast received"))
 	}
 	c.Methods = append(c.Methods, &smali.Method{
-		Name: "onReceive", Access: []string{"public"}, Body: body,
+		Name: "onReceive", Access: publicAccess, Body: body,
 	})
 	return c
 }
@@ -262,6 +343,7 @@ func (g *generator) buildManifest() *manifest.Manifest {
 	for _, p := range g.requiredPermissions() {
 		m.Permissions = append(m.Permissions, manifest.Permission{Name: p})
 	}
+	m.Application.Activities = make([]manifest.Activity, 0, len(g.spec.Activities))
 	for _, a := range g.spec.Activities {
 		act := manifest.Activity{Name: g.fq(a.Name)}
 		if a.Launcher {
@@ -332,29 +414,27 @@ func (g *generator) requiredPermissions() []string {
 }
 
 // needsDrawer / needsSlideDrawer report which drawer variants the activity
-// layout requires.
-func (g *generator) needsDrawer(a *ActivitySpec) bool {
-	for _, tr := range g.transitionsFrom(a.Name) {
-		if tr.Kind == TransDrawerButton {
-			return true
-		}
-	}
-	for _, w := range a.Wires {
-		if w.Kind == WireTxnDrawer {
+// layout requires, given its outgoing transitions.
+func needsDrawer(a *ActivitySpec, out []Transition) bool {
+	return hasTransition(out, TransDrawerButton) || hasWire(a, WireTxnDrawer)
+}
+
+func needsSlideDrawer(a *ActivitySpec, out []Transition) bool {
+	return hasTransition(out, TransSlideDrawer) || hasWire(a, WireTxnSlideDrawer)
+}
+
+func hasTransition(out []Transition, kind TransKind) bool {
+	for _, tr := range out {
+		if tr.Kind == kind {
 			return true
 		}
 	}
 	return false
 }
 
-func (g *generator) needsSlideDrawer(a *ActivitySpec) bool {
-	for _, tr := range g.transitionsFrom(a.Name) {
-		if tr.Kind == TransSlideDrawer {
-			return true
-		}
-	}
+func hasWire(a *ActivitySpec, kind WireKind) bool {
 	for _, w := range a.Wires {
-		if w.Kind == WireTxnSlideDrawer {
+		if w.Kind == kind {
 			return true
 		}
 	}
@@ -371,67 +451,66 @@ func needsContainer(a *ActivitySpec) bool {
 	return false
 }
 
-func (g *generator) activityLayout(a *ActivitySpec) (*layout.Layout, error) {
-	root := layout.Root(layout.TypeLinearLayout).ID(refRoot(a.Name))
+// activityLayout builds the layout of activity a, whose outgoing
+// transitions are out.
+func (g *generator) activityLayout(a *ActivitySpec, out []Transition) (*layout.Layout, error) {
+	la := g.low(a.Name)
+	root := layout.Root(layout.TypeLinearLayout).ID(refRoot(la))
 	root.Child(layout.Root(layout.TypeTextView).
-		ID("@id/" + lname(a.Name) + "_title").Text(a.Name))
+		ID("@id/" + la + "_title").Text(a.Name))
 
-	if g.needsDrawer(a) {
+	if needsDrawer(a, out) {
 		root.Child(layout.Root(layout.TypeImageButton).
-			ID(refDrawerToggle(a.Name)).OnClick(handlerToggleDrawer))
-		drawer := layout.Root(layout.TypeDrawerLayout).ID(refDrawer(a.Name)).HiddenW()
-		for _, tr := range g.transitionsFrom(a.Name) {
+			ID(refDrawerToggle(la)).OnClick(handlerToggleDrawer))
+		drawer := layout.Root(layout.TypeDrawerLayout).ID(refDrawer(la)).HiddenW()
+		for _, tr := range out {
 			if tr.Kind == TransDrawerButton {
 				drawer.Child(layout.Root(layout.TypeButton).
-					ID(refMenuButton(a.Name, tr.To)).Text(tr.To).OnClick(handlerGo(tr.To)))
+					ID(refMenuButton(la, g.low(tr.To))).Text(tr.To).OnClick(handlerGo(tr.To)))
 			}
 		}
 		for _, w := range a.Wires {
 			if w.Kind == WireTxnDrawer {
 				drawer.Child(layout.Root(layout.TypeButton).
-					ID(refMenuFragButton(a.Name, w.Fragment)).Text(w.Fragment).
+					ID(refMenuFragButton(la, g.low(w.Fragment))).Text(w.Fragment).
 					OnClick(handlerShow(w.Fragment)))
 			}
 		}
 		root.Child(drawer)
 	}
-	if g.needsSlideDrawer(a) {
-		slide := layout.Root(layout.TypeDrawerLayout).ID(refSlideDrawer(a.Name)).HiddenW()
-		for _, tr := range g.transitionsFrom(a.Name) {
+	if needsSlideDrawer(a, out) {
+		slide := layout.Root(layout.TypeDrawerLayout).ID(refSlideDrawer(la)).HiddenW()
+		for _, tr := range out {
 			if tr.Kind == TransSlideDrawer {
 				slide.Child(layout.Root(layout.TypeButton).
-					ID(refSlideMenuButton(a.Name, tr.To)).Text(tr.To).OnClick(handlerGo(tr.To)))
+					ID(refSlideMenuButton(la, g.low(tr.To))).Text(tr.To).OnClick(handlerGo(tr.To)))
 			}
 		}
 		for _, w := range a.Wires {
 			if w.Kind == WireTxnSlideDrawer {
 				slide.Child(layout.Root(layout.TypeButton).
-					ID(refSlideMenuFragButton(a.Name, w.Fragment)).Text(w.Fragment).
+					ID(refSlideMenuFragButton(la, g.low(w.Fragment))).Text(w.Fragment).
 					OnClick(handlerShow(w.Fragment)))
 			}
 		}
 		root.Child(slide)
 	}
 
-	for _, tr := range g.transitionsFrom(a.Name) {
+	for _, tr := range out {
 		switch tr.Kind {
 		case TransButton:
 			if tr.Gate != nil {
-				field := tr.Gate.Field
-				if field == "" {
-					field = refInput(a.Name, tr.To)
-				}
 				hint := tr.Gate.Hint
 				if hint == "" {
 					hint = "code for " + tr.To
 				}
-				root.Child(layout.Root(layout.TypeEditText).ID(field).Hint(hint))
+				root.Child(layout.Root(layout.TypeEditText).ID(g.gateField(a.Name, tr)).Hint(hint))
 			}
 			root.Child(layout.Root(layout.TypeButton).
-				ID(refNavButton(a.Name, tr.To)).Text(tr.To).OnClick(handlerGo(tr.To)))
+				ID(refNavButton(la, g.low(tr.To))).Text(tr.To).OnClick(handlerGo(tr.To)))
 		case TransAction:
 			root.Child(layout.Root(layout.TypeButton).
-				ID(refActionButton(a.Name, tr.To)).Text(tr.To).OnClick(handlerAct(tr.To)))
+				ID(refActionButton(la, g.low(tr.To))).Text(tr.To).OnClick(handlerAct(tr.To)))
 		}
 	}
 
@@ -439,27 +518,28 @@ func (g *generator) activityLayout(a *ActivitySpec) (*layout.Layout, error) {
 		if w.Kind == WireTxnButton {
 			// Tab buttons get their listeners registered in code.
 			root.Child(layout.Root(layout.TypeTabItem).
-				ID(refTabButton(a.Name, w.Fragment)).Text(w.Fragment))
+				ID(refTabButton(la, g.low(w.Fragment))).Text(w.Fragment))
 		}
 		if w.Kind == WireStatic {
 			root.Child(layout.Root(layout.TypeFragment).
-				ID(refStaticFrag(a.Name, w.Fragment)).Class(g.fq(w.Fragment)))
+				ID(refStaticFrag(la, g.low(w.Fragment))).Class(g.fq(w.Fragment)))
 		}
 	}
 	if needsContainer(a) {
-		root.Child(layout.Root(layout.TypeFrameLayout).ID(refContainer(a.Name)))
+		root.Child(layout.Root(layout.TypeFrameLayout).ID(refContainer(la)))
 	}
-	return root.BuildLayout("activity_" + lname(a.Name))
+	return root.BuildLayout("activity_" + la)
 }
 
 func (g *generator) fragmentLayout(f *FragmentSpec) (*layout.Layout, error) {
-	root := layout.Root(layout.TypeLinearLayout).ID(refFragRoot(f.Name))
-	root.Child(layout.Root(layout.TypeTextView).ID(refFragLabel(f.Name)).Text(f.Name))
+	lf := g.low(f.Name)
+	root := layout.Root(layout.TypeLinearLayout).ID(refFragRoot(lf))
+	root.Child(layout.Root(layout.TypeTextView).ID(refFragLabel(lf)).Text(f.Name))
 	for _, sw := range g.switchesFrom(f.Name) {
 		root.Child(layout.Root(layout.TypeButton).
-			ID(refSwitchButton(f.Name, sw.To)).Text(sw.To).OnClick(handlerSwitch(sw.To)))
+			ID(refSwitchButton(lf, g.low(sw.To))).Text(sw.To).OnClick(handlerSwitch(sw.To)))
 	}
-	return root.BuildLayout("fragment_" + lname(f.Name))
+	return root.BuildLayout("fragment_" + lf)
 }
 
 // ins is a tiny instruction constructor for generated code.
@@ -474,22 +554,25 @@ func (g *generator) fmOps(a *ActivitySpec) (get smali.Op) {
 	return smali.OpGetFragmentManager
 }
 
-func (g *generator) activityClass(a *ActivitySpec) *smali.Class {
+// activityClass builds the class of activity a, whose outgoing transitions
+// are out.
+func (g *generator) activityClass(a *ActivitySpec, out []Transition) *smali.Class {
 	super := smali.ClassActivity
 	if a.SupportFM {
 		super = smali.ClassFragmentActivity
 	}
-	c := &smali.Class{Name: g.fq(a.Name), Super: super, Access: []string{"public"}}
+	la := g.low(a.Name)
+	c := &smali.Class{Name: g.fq(a.Name), Super: super, Access: publicAccess}
 
 	var onCreate []smali.Instr
 	if a.RequiresExtra != "" {
 		onCreate = append(onCreate, ins(smali.OpRequireExtra, a.RequiresExtra))
 	}
-	onCreate = append(onCreate, ins(smali.OpSetContentView, "@layout/activity_"+lname(a.Name)))
+	onCreate = append(onCreate, ins(smali.OpSetContentView, "@layout/activity_"+la))
 	for _, w := range a.Wires {
 		if w.Kind == WireTxnButton {
 			onCreate = append(onCreate,
-				ins(smali.OpSetClickListener, refTabButton(a.Name, w.Fragment), handlerShow(w.Fragment)))
+				ins(smali.OpSetClickListener, refTabButton(la, g.low(w.Fragment)), handlerShow(w.Fragment)))
 		}
 	}
 	for _, api := range a.Sensitive {
@@ -501,12 +584,12 @@ func (g *generator) activityClass(a *ActivitySpec) *smali.Class {
 			onCreate = append(onCreate,
 				ins(g.fmOps(a)),
 				ins(smali.OpBeginTransaction),
-				ins(smali.OpTxnAdd, refContainer(a.Name), g.fq(w.Fragment)),
+				ins(smali.OpTxnAdd, refContainer(la), g.fq(w.Fragment)),
 				ins(smali.OpTxnCommit),
 			)
 		case WireInflate:
 			onCreate = append(onCreate,
-				ins(smali.OpInflateView, refContainer(a.Name), g.fq(w.Fragment)))
+				ins(smali.OpInflateView, refContainer(la), g.fq(w.Fragment)))
 		case WireReferenceOnly:
 			onCreate = append(onCreate, ins(smali.OpNewInstance, g.fq(w.Fragment)))
 		}
@@ -515,24 +598,20 @@ func (g *generator) activityClass(a *ActivitySpec) *smali.Class {
 		onCreate = append(onCreate, ins(smali.OpShowPopup, "app bar menu"))
 	}
 	c.Methods = append(c.Methods, &smali.Method{
-		Name: "onCreate", Access: []string{"public"}, Body: onCreate,
+		Name: "onCreate", Access: publicAccess, Body: onCreate,
 	})
 
-	if g.needsDrawer(a) {
+	if needsDrawer(a, out) {
 		c.Methods = append(c.Methods, &smali.Method{
-			Name: handlerToggleDrawer, Access: []string{"public"},
-			Body: []smali.Instr{ins(smali.OpToggleVisible, refDrawer(a.Name))},
+			Name: handlerToggleDrawer, Access: publicAccess,
+			Body: []smali.Instr{ins(smali.OpToggleVisible, refDrawer(la))},
 		})
 	}
 
-	for _, tr := range g.transitionsFrom(a.Name) {
+	for _, tr := range out {
 		var body []smali.Instr
 		if tr.Gate != nil {
-			field := tr.Gate.Field
-			if field == "" {
-				field = refInput(a.Name, tr.To)
-			}
-			body = append(body, ins(smali.OpRequireInput, field, GateValue(tr.Gate, tr.To)))
+			body = append(body, ins(smali.OpRequireInput, g.gateField(a.Name, tr), g.gateValue(tr.Gate, tr.To)))
 		}
 		name := handlerGo(tr.To)
 		if tr.Kind == TransAction {
@@ -546,7 +625,7 @@ func (g *generator) activityClass(a *ActivitySpec) *smali.Class {
 		}
 		body = append(body, ins(smali.OpStartActivity))
 		c.Methods = append(c.Methods, &smali.Method{
-			Name: name, Access: []string{"public"}, Body: body,
+			Name: name, Access: publicAccess, Body: body,
 		})
 	}
 
@@ -554,11 +633,11 @@ func (g *generator) activityClass(a *ActivitySpec) *smali.Class {
 		switch w.Kind {
 		case WireTxnButton, WireTxnDrawer, WireTxnSlideDrawer:
 			c.Methods = append(c.Methods, &smali.Method{
-				Name: handlerShow(w.Fragment), Access: []string{"public"},
+				Name: handlerShow(w.Fragment), Access: publicAccess,
 				Body: []smali.Instr{
 					ins(g.fmOps(a)),
 					ins(smali.OpBeginTransaction),
-					ins(smali.OpTxnReplace, refContainer(a.Name), g.fq(w.Fragment)),
+					ins(smali.OpTxnReplace, refContainer(la), g.fq(w.Fragment)),
 					ins(smali.OpTxnCommit),
 				},
 			})
@@ -571,15 +650,15 @@ func (g *generator) fragmentClass(f *FragmentSpec) *smali.Class {
 	c := &smali.Class{
 		Name:         g.fq(f.Name),
 		Super:        smali.ClassFragment,
-		Access:       []string{"public"},
+		Access:       publicAccess,
 		RequiresArgs: f.RequiresArgs,
 	}
-	body := []smali.Instr{ins(smali.OpSetContentView, "@layout/fragment_"+lname(f.Name))}
+	body := []smali.Instr{ins(smali.OpSetContentView, "@layout/fragment_"+g.low(f.Name))}
 	for _, api := range f.Sensitive {
 		body = append(body, ins(smali.OpInvokeSensitive, api))
 	}
 	c.Methods = append(c.Methods, &smali.Method{
-		Name: "onCreateView", Access: []string{"public"}, Body: body,
+		Name: "onCreateView", Access: publicAccess, Body: body,
 	})
 	for _, sw := range g.switchesFrom(f.Name) {
 		host, ok := g.hostOf(sw.From)
@@ -587,11 +666,11 @@ func (g *generator) fragmentClass(f *FragmentSpec) *smali.Class {
 			host = f.Name // unreachable; Validate guarantees a host
 		}
 		c.Methods = append(c.Methods, &smali.Method{
-			Name: handlerSwitch(sw.To), Access: []string{"public"},
+			Name: handlerSwitch(sw.To), Access: publicAccess,
 			Body: []smali.Instr{
 				ins(smali.OpGetFragmentManager),
 				ins(smali.OpBeginTransaction),
-				ins(smali.OpTxnReplace, refContainer(host), g.fq(sw.To)),
+				ins(smali.OpTxnReplace, refContainer(g.low(host)), g.fq(sw.To)),
 				ins(smali.OpTxnCommit),
 			},
 		})

@@ -96,9 +96,11 @@ func (f *Family) Axes(i int) []string {
 }
 
 // rngPool recycles generators across members. Re-seeding a *rand.Rand
-// restarts it on exactly the stream rand.New(rand.NewSource(seed)) yields,
-// without allocating a fresh source (about 4.9 KB of state) per use.
-var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+// over an rngSource restarts it on exactly the stream
+// rand.New(rand.NewSource(seed)) yields, without allocating a fresh source
+// (about 4.9 KB of state) per use and without walking math/rand's seeding
+// chain.
+var rngPool = sync.Pool{New: func() any { return rand.New(new(rngSource)) }}
 
 // seededRand takes a generator from rngPool seeded with seed; the caller
 // returns it with rngPool.Put once no derived value still draws from it.

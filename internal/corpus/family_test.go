@@ -34,38 +34,94 @@ func TestFamilyDeterministicAndPure(t *testing.T) {
 	}
 }
 
-// TestSeededRandRestartsStream pins what the generator pool relies on: a
-// used *rand.Rand, re-seeded, draws exactly the stream a fresh
-// rand.New(rand.NewSource(seed)) draws.
+// TestSeededRandRestartsStream pins what the generators rely on: rngSource,
+// seeded fresh (newRand), re-seeded after use, or taken from the pool
+// (seededRand), draws exactly the stream rand.New(rand.NewSource(seed))
+// draws. 1,400 draws of each kind run more than two laps of the 607-word
+// register, so every seeded word and every wrap of tap and feed is checked.
+// The seeds cover the reductions Seed makes: 0 and 2³¹−1 (both reduce to 0
+// and take the default seed), the default itself, negatives, 2³¹−2 (the
+// largest residue) and seeds beyond 32 bits.
 func TestSeededRandRestartsStream(t *testing.T) {
-	sameStream := func(seed int64, got *rand.Rand) {
+	const draws = 1400
+	sameStream := func(seed int64, how string, got *rand.Rand) {
 		t.Helper()
 		want := rand.New(rand.NewSource(seed))
-		for k := 0; k < 50; k++ {
+		fail := func(what string, k int, g, w any) {
+			t.Helper()
+			t.Fatalf("seed %d (%s) draw %d: %s %v, math/rand %v", seed, how, k, what, g, w)
+		}
+		for k := 0; k < draws; k++ {
 			if g, w := got.Int63(), want.Int63(); g != w {
-				t.Fatalf("seed %d draw %d: Int63 %d, fresh source %d", seed, k, g, w)
+				fail("Int63", k, g, w)
+			}
+			if g, w := got.Uint64(), want.Uint64(); g != w {
+				fail("Uint64", k, g, w)
 			}
 			if g, w := got.Intn(97), want.Intn(97); g != w {
-				t.Fatalf("seed %d draw %d: Intn %d, fresh source %d", seed, k, g, w)
+				fail("Intn", k, g, w)
+			}
+			if g, w := got.Float64(), want.Float64(); g != w {
+				fail("Float64", k, g, w)
 			}
 		}
-		gb, wb := make([]byte, 7), make([]byte, 7)
+		if g, w := got.Perm(50), want.Perm(50); !reflect.DeepEqual(g, w) {
+			fail("Perm", draws, g, w)
+		}
+		gs, ws := make([]int, 40), make([]int, 40)
+		for i := range gs {
+			gs[i], ws[i] = i, i
+		}
+		got.Shuffle(len(gs), func(i, j int) { gs[i], gs[j] = gs[j], gs[i] })
+		want.Shuffle(len(ws), func(i, j int) { ws[i], ws[j] = ws[j], ws[i] })
+		if !reflect.DeepEqual(gs, ws) {
+			fail("Shuffle", draws, gs, ws)
+		}
+		gb, wb := make([]byte, 29), make([]byte, 29)
 		got.Read(gb)
 		want.Read(wb)
 		if !reflect.DeepEqual(gb, wb) {
-			t.Fatalf("seed %d: Read %v, fresh source %v", seed, gb, wb)
+			fail("Read", draws, gb, wb)
+		}
+		if g, w := got.Int63(), want.Int63(); g != w {
+			fail("Int63 after Read", draws, g, w)
 		}
 	}
-	for _, seed := range []int64{0, 1, 42, -7, 1 << 40} {
-		used := rand.New(rand.NewSource(seed + 1))
+	seeds := []int64{0, -1, 1, 42, -7, 1 << 40, -(1 << 62), 1<<31 - 1, 1<<31 - 2, rngSeedDefault}
+	for _, seed := range seeds {
+		sameStream(seed, "fresh", newRand(seed))
+
+		used := newRand(seed + 1)
 		used.Read(make([]byte, 5)) // leaves buffered Read state behind
 		used.Intn(10)
 		used.Seed(seed)
-		sameStream(seed, used)
+		sameStream(seed, "re-seeded", used)
 
 		pooled := seededRand(seed)
-		sameStream(seed, pooled)
+		sameStream(seed, "pooled", pooled)
 		rngPool.Put(pooled)
+	}
+}
+
+// TestMulModMatchesDivision checks the two-fold Mersenne reduction Seed
+// uses against plain division, on the extremes of its domain and on a
+// spread of pairs.
+func TestMulModMatchesDivision(t *testing.T) {
+	const m31 = 1<<31 - 1
+	edges := []uint64{1, 2, 3, lehmerA, 1 << 30, 1<<30 + 1, m31 - 2, m31 - 1}
+	check := func(x, m uint64) {
+		if got, want := mulMod(x, uint32(m)), x*m%m31; got != want {
+			t.Fatalf("mulMod(%d, %d) = %d, want %d", x, m, got, want)
+		}
+	}
+	for _, x := range edges {
+		for _, m := range edges {
+			check(x, m)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for k := 0; k < 200000; k++ {
+		check(1+uint64(rng.Int63n(m31-1)), 1+uint64(rng.Int63n(m31-1)))
 	}
 }
 

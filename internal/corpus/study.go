@@ -2,7 +2,7 @@ package corpus
 
 import (
 	"fmt"
-	"math/rand"
+	"strconv"
 )
 
 // The 27 Google Play categories of the §VII-A dataset study.
@@ -35,7 +35,7 @@ const (
 // the category or fragment-usage assignment, so the study statistic is
 // stable.
 func StudySpecs(seed int64) []*AppSpec {
-	rng := rand.New(rand.NewSource(seed))
+	rng := newRand(seed)
 	var specs []*AppSpec
 	packed := 0
 	noFrag := 0
@@ -96,9 +96,11 @@ func RandomSpec(pkg string, seed int64) *AppSpec {
 		if i == 0 {
 			names[i] = "Main"
 		} else {
-			names[i] = fmt.Sprintf("Act%d", i)
+			names[i] = "Act" + strconv.Itoa(i)
 		}
 	}
+	spec.Activities = make([]ActivitySpec, 0, nActs)
+	spec.Transition = make([]Transition, 0, nActs-1)
 	spec.Activities = append(spec.Activities, ActivitySpec{Name: "Main", Launcher: true})
 	for _, n := range names[1:] {
 		a := ActivitySpec{Name: n}
@@ -133,8 +135,11 @@ func RandomSpec(pkg string, seed int64) *AppSpec {
 		WireTxnOnCreate, WireTxnButton, WireTxnDrawer, WireTxnSlideDrawer,
 		WireInflate, WireStatic, WireReferenceOnly,
 	}
+	if nFrags > 0 {
+		spec.Fragments = make([]FragmentSpec, 0, nFrags)
+	}
 	for i := 0; i < nFrags; i++ {
-		fn := fmt.Sprintf("Frag%d", i)
+		fn := "Frag" + strconv.Itoa(i)
 		fs := FragmentSpec{Name: fn}
 		if rng.Intn(8) == 0 {
 			fs.RequiresArgs = true

@@ -47,11 +47,6 @@ type UIDump struct {
 	HasDialog bool
 }
 
-// VisibleRefs returns the refs of visible widgets.
-func (u UIDump) VisibleRefs() []string {
-	return u.refs(func(w WidgetInfo) bool { return w.Visible })
-}
-
 // ClickableRefs returns refs that are both visible and clickable, in draw
 // order.
 func (u UIDump) ClickableRefs() []string {

@@ -260,4 +260,30 @@ func TestCreditedFragments(t *testing.T) {
 			t.Errorf("%s: credited %v, want %v", c.name, got, c.want)
 		}
 	}
+	// An activity's own visible widget identifies no fragment: with Home's
+	// widget hidden, Main's nav button does not credit Home.
+	dump := device.UIDump{
+		Activity: pkg + "Main",
+		Widgets: []device.WidgetInfo{
+			{Ref: homeRef, Visible: false, Clickable: true, FromFragment: home},
+			{Ref: corpus.NavButtonRef("Main", "Detail"), Visible: true, Clickable: true},
+		},
+		FMFragments: []string{home},
+	}
+	if got := CreditedFragments(ex, dump); got != nil {
+		t.Errorf("activity widget: credited %v, want none", got)
+	}
+	// On a live dump of the launched demo, Home (committed in Main.onCreate,
+	// its widgets visible) is credited.
+	d := device.New(demoApp(t), device.Options{})
+	if err := d.LaunchMain(); err != nil {
+		t.Fatal(err)
+	}
+	live, err := d.Dump()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := CreditedFragments(ex, live); !reflect.DeepEqual(got, []string{home}) {
+		t.Errorf("live launch dump: credited %v (FragmentManager %v), want [%s]", got, live.FMFragments, home)
+	}
 }

@@ -395,12 +395,14 @@ func writeAttr(buf *bytes.Buffer, name, val string) {
 }
 
 // B is a tiny fluent builder for layouts used by corpus generators and tests.
+// A builder is single use: BuildLayout hands its widgets to the layout. The
+// builder holds its widget by value, so each widget costs one allocation.
 type B struct {
-	w *Widget
+	w Widget
 }
 
 // Root starts a builder with a root widget of the given type.
-func Root(typ string) *B { return &B{w: &Widget{Type: typ}} }
+func Root(typ string) *B { return &B{w: Widget{Type: typ}} }
 
 // ID sets the widget ID reference.
 func (b *B) ID(ref string) *B { b.w.IDRef = ref; return b }
@@ -423,16 +425,19 @@ func (b *B) Class(c string) *B { b.w.FragmentClass = c; return b }
 // Child appends child builders.
 func (b *B) Child(children ...*B) *B {
 	for _, c := range children {
-		b.w.Children = append(b.w.Children, c.w)
+		b.w.Children = append(b.w.Children, &c.w)
 	}
 	return b
 }
 
-// BuildLayout finishes the tree into a named, validated layout.
+// BuildLayout finishes the tree into a named, validated layout. The layout
+// takes the builder's widgets as they are, without a copy: a builder is used
+// once, and neither it nor any builder passed to its Child may be changed
+// after BuildLayout, or the change shows in the built layout.
 func (b *B) BuildLayout(name string) (*Layout, error) {
-	l := &Layout{Name: name, Root: b.w}
+	l := &Layout{Name: name, Root: &b.w}
 	if err := l.Validate(); err != nil {
 		return nil, err
 	}
-	return l.Clone(), nil
+	return l, nil
 }

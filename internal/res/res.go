@@ -12,7 +12,8 @@ package res
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 )
 
@@ -33,7 +34,8 @@ const (
 	KindMenu
 )
 
-var kindNames = map[Kind]string{
+// kindNames is indexed by Kind; slot 0 is no kind.
+var kindNames = [...]string{
 	KindID:       "id",
 	KindLayout:   "layout",
 	KindString:   "string",
@@ -41,18 +43,13 @@ var kindNames = map[Kind]string{
 	KindMenu:     "menu",
 }
 
-var kindsByName = map[string]Kind{
-	"id":       KindID,
-	"layout":   KindLayout,
-	"string":   KindString,
-	"drawable": KindDrawable,
-	"menu":     KindMenu,
-}
+// known reports whether k is one of the defined kinds.
+func (k Kind) known() bool { return k >= KindID && k <= KindMenu }
 
 // String returns the R-namespace name of the kind ("id", "layout", ...).
 func (k Kind) String() string {
-	if s, ok := kindNames[k]; ok {
-		return s
+	if k.known() {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
@@ -60,8 +57,12 @@ func (k Kind) String() string {
 // KindFromName maps an R-namespace name back to its Kind. The boolean result
 // reports whether the name is known.
 func KindFromName(name string) (Kind, bool) {
-	k, ok := kindsByName[name]
-	return k, ok
+	for k := KindID; k <= KindMenu; k++ {
+		if kindNames[k] == name {
+			return k, true
+		}
+	}
+	return 0, false
 }
 
 // ID is a resolved resource identifier. Like Android's aapt numbering, the
@@ -74,6 +75,11 @@ const (
 	kindShift = 16
 )
 
+// MaxPerKind is the number of entries one kind can hold: the entry number
+// fills the low 16 bits of an ID, so entry 1<<16 would carry into the kind
+// bits and alias the next kind's first ID.
+const MaxPerKind = 1 << kindShift
+
 // Kind extracts the resource kind encoded in the ID.
 func (id ID) Kind() Kind {
 	return Kind((uint32(id) - idBase) >> kindShift)
@@ -81,9 +87,7 @@ func (id ID) Kind() Kind {
 
 // Valid reports whether the ID carries a known kind encoding.
 func (id ID) Valid() bool {
-	k := id.Kind()
-	_, ok := kindNames[k]
-	return uint32(id) >= idBase && ok
+	return uint32(id) >= idBase && id.Kind().known()
 }
 
 // Entry is a single named resource in the table.
@@ -103,10 +107,14 @@ type refKey struct {
 
 // Table allocates and resolves resource IDs. The zero value is not ready for
 // use; call NewTable.
+//
+// IDs are dense: the n-th name defined for a kind gets idBase + kind<<16 +
+// n. So one map resolves names to IDs, and a per-kind name list, indexed by
+// the entry number, answers the reverse direction and lists entries in ID
+// order without sorting.
 type Table struct {
-	byRef  map[refKey]Entry
-	byID   map[ID]Entry
-	counts map[Kind]uint32
+	byRef map[refKey]ID
+	names [KindMenu + 1][]string // names[kind][n] names idBase + kind<<16 + n
 }
 
 // NewTable returns an empty resource table.
@@ -116,34 +124,37 @@ func NewTable() *Table {
 
 // NewTableSized returns an empty resource table pre-sized for about hint
 // entries, so bulk loaders (the artifact-store decoder knows the final entry
-// count up front) avoid growing the maps incrementally.
+// count up front) avoid growing the map incrementally. Widget IDs are nearly
+// all of an app's entries, so their name list gets the room too.
 func NewTableSized(hint int) *Table {
-	return &Table{
-		byRef:  make(map[refKey]Entry, hint),
-		byID:   make(map[ID]Entry, hint),
-		counts: make(map[Kind]uint32),
+	t := &Table{byRef: make(map[refKey]ID, hint)}
+	if hint > 0 {
+		t.names[KindID] = make([]string, 0, hint)
 	}
+	return t
 }
 
 // Define allocates an ID for (kind, name), or returns the existing one if the
-// pair is already defined. Names must be non-empty.
+// pair is already defined. Names must be non-empty, and a kind holds at most
+// MaxPerKind entries: defining one more fails with a *CapacityError.
 func (t *Table) Define(kind Kind, name string) (ID, error) {
 	if name == "" {
 		return 0, fmt.Errorf("res: empty resource name for kind %s", kind)
 	}
-	if _, ok := kindNames[kind]; !ok {
+	if !kind.known() {
 		return 0, fmt.Errorf("res: unknown resource kind %d", int(kind))
 	}
 	key := refKey{kind, name}
-	if e, ok := t.byRef[key]; ok {
-		return e.ID, nil
+	if id, ok := t.byRef[key]; ok {
+		return id, nil
 	}
-	n := t.counts[kind]
-	t.counts[kind] = n + 1
-	id := ID(idBase + uint32(kind)<<kindShift + n)
-	e := Entry{Kind: kind, Name: name, ID: id}
-	t.byRef[key] = e
-	t.byID[id] = e
+	n := len(t.names[kind])
+	if n >= MaxPerKind {
+		return 0, &CapacityError{Kind: kind, Name: name}
+	}
+	id := ID(idBase + uint32(kind)<<kindShift + uint32(n))
+	t.names[kind] = append(t.names[kind], name)
+	t.byRef[key] = id
 	return id, nil
 }
 
@@ -160,15 +171,22 @@ func (t *Table) MustDefine(kind Kind, name string) ID {
 // Lookup resolves (kind, name) to its ID. The boolean result reports whether
 // the resource is defined.
 func (t *Table) Lookup(kind Kind, name string) (ID, bool) {
-	e, ok := t.byRef[refKey{kind, name}]
-	return e.ID, ok
+	id, ok := t.byRef[refKey{kind, name}]
+	return id, ok
 }
 
 // NameOf returns the entry for id. The boolean result reports whether the ID
 // is defined in this table.
 func (t *Table) NameOf(id ID) (Entry, bool) {
-	e, ok := t.byID[id]
-	return e, ok
+	if !id.Valid() {
+		return Entry{}, false
+	}
+	k := id.Kind()
+	n := uint32(id) & (MaxPerKind - 1)
+	if int(n) >= len(t.names[k]) {
+		return Entry{}, false
+	}
+	return Entry{Kind: k, Name: t.names[k][n], ID: id}, true
 }
 
 // Resolve parses and resolves a textual reference of the form "@kind/name"
@@ -229,31 +247,37 @@ func (e Entry) Ref() string {
 
 // Entries returns all defined resources sorted by ID. The slice is a copy.
 func (t *Table) Entries() []Entry {
-	out := make([]Entry, 0, len(t.byID))
-	for _, e := range t.byID {
-		out = append(out, e)
+	out := make([]Entry, 0, len(t.byRef))
+	for k := KindID; k <= KindMenu; k++ {
+		base := idBase + uint32(k)<<kindShift
+		for n, name := range t.names[k] {
+			out = append(out, Entry{Kind: k, Name: name, ID: ID(base + uint32(n))})
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
 // Len reports the number of defined resources.
-func (t *Table) Len() int { return len(t.byID) }
+func (t *Table) Len() int { return len(t.byRef) }
 
 // Clone returns a deep copy of the table. The explorer clones tables so that
 // per-run definitions (e.g. patched manifests) never leak between runs.
 func (t *Table) Clone() *Table {
-	nt := NewTable()
-	for k, v := range t.byRef {
-		nt.byRef[k] = v
-	}
-	for k, v := range t.byID {
-		nt.byID[k] = v
-	}
-	for k, v := range t.counts {
-		nt.counts[k] = v
+	nt := &Table{byRef: maps.Clone(t.byRef)}
+	for k := range t.names {
+		nt.names[k] = slices.Clone(t.names[k])
 	}
 	return nt
+}
+
+// CapacityError reports a definition beyond MaxPerKind entries of one kind.
+type CapacityError struct {
+	Kind Kind
+	Name string
+}
+
+func (e *CapacityError) Error() string {
+	return fmt.Sprintf("res: %s table full: cannot define %q beyond %d entries", e.Kind, e.Name, MaxPerKind)
 }
 
 // UnresolvedError reports a reference to a resource that is not defined.

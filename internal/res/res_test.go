@@ -1,6 +1,8 @@
 package res
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -40,6 +42,62 @@ func TestDefineErrors(t *testing.T) {
 	}
 	if _, err := tbl.Define(Kind(99), "x"); err == nil {
 		t.Error("unknown kind: want error")
+	}
+}
+
+// TestDefineKindCapacity pins the per-kind bound: the entry number has 16
+// bits, so a kind holds MaxPerKind entries and the next definition fails
+// with *CapacityError instead of taking the next kind's first ID (without
+// the bound, the 65,537th @id got the first layout's ID 0x7f0a0000, and
+// NameOf of that layout answered with the widget).
+func TestDefineKindCapacity(t *testing.T) {
+	tbl := NewTable()
+	layout := tbl.MustDefine(KindLayout, "main")
+	var last ID
+	for n := 0; n < MaxPerKind; n++ {
+		id, err := tbl.Define(KindID, fmt.Sprintf("w%d", n))
+		if err != nil {
+			t.Fatalf("entry %d: %v", n, err)
+		}
+		last = id
+	}
+	if last.Kind() != KindID {
+		t.Fatalf("last @id %#x decodes as kind %v", uint32(last), last.Kind())
+	}
+	id, err := tbl.Define(KindID, "overflow")
+	var capErr *CapacityError
+	if !errors.As(err, &capErr) || capErr.Kind != KindID || capErr.Name != "overflow" {
+		t.Fatalf("entry %d: Define = %#x, %v; want *CapacityError for id/overflow", MaxPerKind, uint32(id), err)
+	}
+	if _, ok := tbl.Lookup(KindID, "overflow"); ok {
+		t.Fatal("failed definition left an entry behind")
+	}
+	if again, err := tbl.Define(KindID, "w7"); err != nil || again != ID(idBase+uint32(KindID)<<kindShift+7) {
+		t.Fatalf("re-Define of an existing name on a full kind = %#x, %v", uint32(again), err)
+	}
+	if e, ok := tbl.NameOf(layout); !ok || e.Kind != KindLayout || e.Name != "main" {
+		t.Fatalf("NameOf(layout %#x) = %+v, %v; want layout/main", uint32(layout), e, ok)
+	}
+	if tbl.Len() != MaxPerKind+1 {
+		t.Fatalf("Len = %d, want %d", tbl.Len(), MaxPerKind+1)
+	}
+	if _, err := tbl.Define(KindString, "other"); err != nil {
+		t.Fatalf("a full kind blocked another kind: %v", err)
+	}
+}
+
+// TestNameOfUndefined covers the reverse lookup's range checks: IDs below
+// the base, of unknown kinds, and past a kind's last entry are undefined.
+func TestNameOfUndefined(t *testing.T) {
+	tbl := NewTable()
+	id := tbl.MustDefine(KindID, "a")
+	for _, bad := range []ID{0, idBase - 1, id + 1, ID(idBase + uint32(KindMenu+1)<<kindShift), ^ID(0)} {
+		if e, ok := tbl.NameOf(bad); ok {
+			t.Errorf("NameOf(%#x) = %+v, want undefined", uint32(bad), e)
+		}
+	}
+	if e, ok := tbl.NameOf(id); !ok || e != (Entry{Kind: KindID, Name: "a", ID: id}) {
+		t.Errorf("NameOf(%#x) = %+v, %v", uint32(id), e, ok)
 	}
 }
 
@@ -182,6 +240,21 @@ func TestClone(t *testing.T) {
 		// sequences yield identical IDs; divergence is fine, equality is
 		// expected here because both allocated "b" as the second KindID.
 		t.Fatalf("deterministic allocation violated: %v vs %v", origB, cloneB)
+	}
+	// With three entries the name list has spare capacity; definitions made
+	// on one side after the clone must not show through on the other.
+	tbl.MustDefine(KindID, "c")
+	cl2 := tbl.Clone()
+	x := cl2.MustDefine(KindID, "x")
+	y := tbl.MustDefine(KindID, "y")
+	if x != y {
+		t.Fatalf("third KindID differs: %v vs %v", x, y)
+	}
+	if e, _ := cl2.NameOf(x); e.Name != "x" {
+		t.Fatalf("clone's entry %v renamed to %q by the original", x, e.Name)
+	}
+	if e, _ := tbl.NameOf(y); e.Name != "y" {
+		t.Fatalf("original's entry %v renamed to %q by the clone", y, e.Name)
 	}
 }
 

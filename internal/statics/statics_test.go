@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"fragdroid/internal/aftm"
+	"fragdroid/internal/apk"
 	"fragdroid/internal/corpus"
 )
 
@@ -151,13 +152,22 @@ func TestResourceDependency(t *testing.T) {
 	if len(locs) != 1 || locs[0].Owner != pkg+"Home" || locs[0].OwnerKind != OwnerFragment {
 		t.Fatalf("switch button owner = %+v", locs)
 	}
-	// State identification: visible widget refs map to fragment classes.
-	frags := ex.ResDeps.IdentifyFragments([]string{
-		corpus.SwitchButtonRef("Home", "Recent"),
-		corpus.NavButtonRef("Main", "Detail"),
-	})
-	if !reflect.DeepEqual(frags, []string{pkg + "Home"}) {
-		t.Fatalf("IdentifyFragments = %v", frags)
+	// State identification: ByWidget, indexed by a normalized ref, names the
+	// fragment a visible widget belongs to, and only for fragment widgets.
+	fragmentsOf := func(ref string) []string {
+		var out []string
+		for _, loc := range ex.ResDeps.ByWidget[apk.NormalizeRef(ref)] {
+			if loc.OwnerKind == OwnerFragment {
+				out = append(out, loc.Owner)
+			}
+		}
+		return out
+	}
+	if got := fragmentsOf(corpus.SwitchButtonRef("Home", "Recent")); !reflect.DeepEqual(got, []string{pkg + "Home"}) {
+		t.Fatalf("ByWidget fragments of Home's switch button = %v", got)
+	}
+	if got := fragmentsOf(corpus.NavButtonRef("Main", "Detail")); len(got) != 0 {
+		t.Fatalf("ByWidget fragments of Main's nav button = %v, want none", got)
 	}
 	// Plain TextViews never referenced in code are ruled out.
 	if locs := ex.ResDeps.OwnersOf("@id/main_title"); len(locs) != 0 {
