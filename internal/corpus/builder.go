@@ -181,40 +181,21 @@ func newGenerator(spec *AppSpec) *generator {
 		lower: make(map[string]string, len(spec.Activities)+len(spec.Fragments)),
 		out:   make([][]Transition, len(spec.Activities)),
 	}
-	index := make(map[string]int, len(spec.Activities))
-	for i := range spec.Activities {
-		name := spec.Activities[i].Name
-		index[name] = i
-		g.lower[name] = strings.ToLower(name)
+	for _, f := range spec.Fragments {
+		g.lower[f.Name] = strings.ToLower(f.Name)
 	}
-	for i := range spec.Fragments {
-		name := spec.Fragments[i].Name
-		if _, ok := g.lower[name]; !ok {
-			g.lower[name] = strings.ToLower(name)
-		}
-	}
-	// Group the transitions by source activity in one pass: count, then
-	// carve each activity's run out of one backing array.
-	from := make([]int, len(spec.Transition))
-	count := make([]int, len(spec.Activities))
-	for k, tr := range spec.Transition {
-		i, ok := index[tr.From]
-		if !ok {
-			i = -1 // unreachable; Validate guarantees a declared source
-		} else {
-			count[i]++
-		}
-		from[k] = i
-	}
+	// Each activity's run of transitions is cut from one backing array,
+	// with cap = len so no run can grow into its neighbour.
 	backing := make([]Transition, 0, len(spec.Transition))
-	for i, n := range count {
-		g.out[i] = backing[len(backing) : len(backing) : len(backing)+n]
-		backing = backing[:len(backing)+n]
-	}
-	for k, tr := range spec.Transition {
-		if i := from[k]; i >= 0 {
-			g.out[i] = append(g.out[i], tr)
+	for i, a := range spec.Activities {
+		g.lower[a.Name] = strings.ToLower(a.Name)
+		start := len(backing)
+		for _, tr := range spec.Transition {
+			if tr.From == a.Name {
+				backing = append(backing, tr)
+			}
 		}
+		g.out[i] = backing[start:len(backing):len(backing)]
 	}
 	return g
 }
@@ -229,14 +210,6 @@ func (g *generator) low(name string) string {
 		return l
 	}
 	return lname(name)
-}
-
-// gateValue is GateValue over the generator's lower-cased names.
-func (g *generator) gateValue(gate *InputGate, to string) string {
-	if gate != nil && gate.Expected != "" {
-		return gate.Expected
-	}
-	return "letmein-" + g.low(to)
 }
 
 // gateField is the input field guarding a gated transition from act.
@@ -611,7 +584,7 @@ func (g *generator) activityClass(a *ActivitySpec, out []Transition) *smali.Clas
 	for _, tr := range out {
 		var body []smali.Instr
 		if tr.Gate != nil {
-			body = append(body, ins(smali.OpRequireInput, g.gateField(a.Name, tr), g.gateValue(tr.Gate, tr.To)))
+			body = append(body, ins(smali.OpRequireInput, g.gateField(a.Name, tr), GateValue(tr.Gate, tr.To)))
 		}
 		name := handlerGo(tr.To)
 		if tr.Kind == TransAction {

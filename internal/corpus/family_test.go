@@ -35,10 +35,10 @@ func TestFamilyDeterministicAndPure(t *testing.T) {
 }
 
 // TestSeededRandRestartsStream pins what the generators rely on: rngSource,
-// seeded fresh (newRand), re-seeded after use, or taken from the pool
-// (seededRand), draws exactly the stream rand.New(rand.NewSource(seed))
-// draws. 1,400 draws of each kind run more than two laps of the 607-word
-// register, so every seeded word and every wrap of tap and feed is checked.
+// seeded fresh, re-seeded after use, or taken from the pool (seededRand),
+// draws exactly the stream rand.New(rand.NewSource(seed)) draws. Each
+// kind of draw runs 1,400 times, past two laps of the 607-word register,
+// so every seeded word and every wrap of tap and feed is checked.
 // The seeds cover the reductions Seed makes: 0 and 2³¹−1 (both reduce to 0
 // and take the default seed), the default itself, negatives, 2³¹−2 (the
 // largest residue) and seeds beyond 32 bits.
@@ -89,9 +89,12 @@ func TestSeededRandRestartsStream(t *testing.T) {
 	}
 	seeds := []int64{0, -1, 1, 42, -7, 1 << 40, -(1 << 62), 1<<31 - 1, 1<<31 - 2, rngSeedDefault}
 	for _, seed := range seeds {
-		sameStream(seed, "fresh", newRand(seed))
+		fresh := rand.New(new(rngSource))
+		fresh.Seed(seed)
+		sameStream(seed, "fresh", fresh)
 
-		used := newRand(seed + 1)
+		used := rand.New(new(rngSource))
+		used.Seed(seed + 1)
 		used.Read(make([]byte, 5)) // leaves buffered Read state behind
 		used.Intn(10)
 		used.Seed(seed)

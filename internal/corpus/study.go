@@ -35,7 +35,8 @@ const (
 // the category or fragment-usage assignment, so the study statistic is
 // stable.
 func StudySpecs(seed int64) []*AppSpec {
-	rng := newRand(seed)
+	rng := seededRand(seed)
+	defer rngPool.Put(rng)
 	var specs []*AppSpec
 	packed := 0
 	noFrag := 0

@@ -258,23 +258,6 @@ func (l *Layout) Register(tbl *res.Table) error {
 	return err
 }
 
-// Clone returns a deep copy of the layout tree.
-func (l *Layout) Clone() *Layout {
-	return &Layout{Name: l.Name, Root: cloneWidget(l.Root)}
-}
-
-func cloneWidget(w *Widget) *Widget {
-	if w == nil {
-		return nil
-	}
-	cp := *w
-	cp.Children = make([]*Widget, len(w.Children))
-	for i, c := range w.Children {
-		cp.Children[i] = cloneWidget(c)
-	}
-	return &cp
-}
-
 // Parse decodes a layout XML document. name is the layout resource name
 // (typically the file base name without extension).
 func Parse(name string, data []byte) (*Layout, error) {

@@ -186,12 +186,3 @@ func TestWalkEarlyStop(t *testing.T) {
 		t.Fatalf("early stop visited %d, want 3", n)
 	}
 }
-
-func TestCloneIsDeep(t *testing.T) {
-	l := mustParse(t)
-	cp := l.Clone()
-	cp.Find("@+id/btn_next").Text = "mutated"
-	if l.Find("@+id/btn_next").Text == "mutated" {
-		t.Fatal("Clone shares widgets with original")
-	}
-}

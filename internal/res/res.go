@@ -260,8 +260,8 @@ func (t *Table) Entries() []Entry {
 // Len reports the number of defined resources.
 func (t *Table) Len() int { return len(t.byRef) }
 
-// Clone returns a deep copy of the table. The explorer clones tables so that
-// per-run definitions (e.g. patched manifests) never leak between runs.
+// Clone returns a deep copy of the table: definitions made on the copy or
+// the original after the call do not show in the other.
 func (t *Table) Clone() *Table {
 	nt := &Table{byRef: maps.Clone(t.byRef)}
 	for k := range t.names {
